@@ -156,7 +156,8 @@ def _fmt(x) -> str:
 def _fit_report_rows(fitted, results) -> list:
     """Long-form rows: model coefficient rows first, estimator rows after.
     Columns: section, name, quantity, estimate, se, ci_lo, ci_hi,
-    boot_se, boot_lo, boot_hi."""
+    boot_se, boot_lo, boot_hi, boot_failures (the resamples on which the
+    estimator failed and which the bootstrap left out)."""
     rows = []
     model_blocks = [("missing", fitted.alpha, "alpha"),
                     ("propensity", fitted.gamma, "gamma"),
@@ -173,25 +174,27 @@ def _fit_report_rows(fitted, results) -> list:
             lo = hi = None
             if se is not None:
                 lo, hi = est - 1.959963984540054 * se, est + 1.959963984540054 * se
-            rows.append(("model", name, lbl, est, se, lo, hi, None, None, None))
+            rows.append(("model", name, lbl, est, se, lo, hi,
+                         None, None, None, None))
         if params.phi is not None:
             rows.append(("model", name, "dispersion", params.phi,
-                         None, None, None, None, None, None))
+                         None, None, None, None, None, None, None))
     for method, est, boot in results:
         lo, hi = est.ci if est.ci else (None, None)
-        brow = (None, None, None) if boot is None else (boot.se, *boot.ci)
+        brow = (None,) * 4 if boot is None else (boot.se, *boot.ci, boot.failures)
         rows.append(("ate", method, "tau", est.tau, est.se, lo, hi, *brow))
     return rows
 
 
 def _emit_fit_report(rows, fmt: str) -> bytes:
     header = ("section", "name", "quantity", "estimate", "se",
-              "ci_lo", "ci_hi", "boot_se", "boot_lo", "boot_hi")
+              "ci_lo", "ci_hi", "boot_se", "boot_lo", "boot_hi", "boot_failures")
     if fmt == "csv":
         lines = [",".join(header)]
         for row in rows:
+            failures = "" if row[10] is None else str(row[10])
             lines.append(",".join([row[0], row[1], row[2]]
-                                  + [_fmt(v) for v in row[3:]]))
+                                  + [_fmt(v) for v in row[3:10]] + [failures]))
         return ("\n".join(lines) + "\n").encode()
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -202,13 +205,14 @@ def _emit_fit_report(rows, fmt: str) -> bytes:
 def _print_fit_table(rows):
     print(f"{'section':<10}{'name':<12}{'quantity':<12}"
           f"{'estimate':>12}{'se':>12}{'95% CI':>26}")
-    for sec, name, qty, est, se, lo, hi, bse, blo, bhi in rows:
+    for sec, name, qty, est, se, lo, hi, bse, blo, bhi, bfail in rows:
         ci = f"[{lo:10.4f},{hi:10.4f}]" if lo is not None else ""
         se_s = f"{se:12.4f}" if se is not None else " " * 12
         print(f"{sec:<10}{name:<12}{qty:<12}{est:12.4f}{se_s}{ci:>26}")
         if bse is not None:
             print(f"{'':<10}{'':<12}{'bootstrap':<12}{'':>12}{bse:12.4f}"
-                  f"[{blo:10.4f},{bhi:10.4f}]".rjust(26))
+                  f"[{blo:10.4f},{bhi:10.4f}]".rjust(26)
+                  + f"  failed resamples {bfail}")
 
 
 def cmd_fit(args) -> int:

@@ -2,9 +2,12 @@
 
 Three weighted estimators share the r/M missingness weights: outcome
 regression (OR), inverse probability weighting (IPW), and the doubly
-robust combination (DR). Complete-case and multiple-imputation baselines
-apply the textbook unweighted formulas. Bootstrap and stacked-sandwich
-standard errors are provided for all of them.
+robust combination (DR). The complete-case baselines are the same
+estimators with M forced to 1 on the complete cases, which gives the
+textbook unweighted formulas; multiple imputation applies them to each
+completed dataset. Every sandwich standard error comes from one stacked
+system, the fit's equations plus a tau row, with its closed-form Jacobian
+as the bread; bootstrap intervals are provided for all estimators.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .glm import (
     design_matrix,
     fit_model,
 )
-from .solver import EquationSystem, sandwich_covariance
-from .wee import FittedModels, WeeStack, fit_wee, missing_weights
+from .solver import sandwich_covariance
+from .wee import FittedModels, WeeStack, effect_summands
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -74,105 +77,56 @@ def _check_propensity_cap(d: Dataset, H: np.ndarray, cap: float):
             raise ExtremeWeight("propensity weight 1/(1-H) beyond cap")
 
 
-def _wee_summands(which: str, alpha_coef, gamma_coef, beta_coef, d: Dataset,
-                  model_spec: ModelSpec, y0_sign: float = 1.0):
-    """Per-row contributions to Yhat(1) and Yhat(0) for one weighted
-    estimator; both vectors are exactly zero on rows missing the designated
-    confounder. Written so no division happens on rows where the divisor is
-    irrelevant (treated rows never divide by 1-H and so on)."""
-    mask = d.r == 1
-    w = missing_weights(alpha_coef, d, model_spec)
-    Xb = design_matrix(d, model_spec.outcome_covariates).copy()
-    j = 1 + model_spec.outcome_covariates.index(TREATMENT)
-    Xb[:, j] = 1.0
-    lp1 = Xb @ beta_coef
-    Xb[:, j] = 0.0
-    lp0 = Xb @ beta_coef
-    if model_spec.outcome_family == BERNOULLI:
-        O1, O0 = expit(lp1), expit(lp0)
-    else:
-        O1, O0 = lp1, lp0
-    if which == "or":
-        return w * O1, w * O0
-
-    Xg = design_matrix(d, model_spec.propensity_covariates)
-    H = expit(Xg @ gamma_coef)
-    treated = d.a == 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if which == "ipw":
-            s1 = np.where(mask & treated, w * d.y / H, 0.0)
-            s0 = np.where(mask & ~treated, w * d.y / (1.0 - H), 0.0)
-            return s1, s0
-        if which == "dr":
-            adj1 = np.where(treated, (d.y - O1) / H, 0.0)
-            s1 = np.where(mask, w * (O1 + adj1), 0.0)
-            if y0_sign > 0:
-                adj0 = np.where(~treated, (d.y - O0) / (1.0 - H), 0.0)
-                s0 = np.where(mask, w * (O0 + adj0), 0.0)
-            else:
-                adj0 = np.where(~treated, (d.y + O0) / (1.0 - H), 0.0)
-                s0 = np.where(mask, w * (-O0 + adj0), 0.0)
-            return s1, s0
-    raise BadConfig(f"unknown estimator {which!r}")
+def _estimate(d: Dataset, stack: WeeStack, alpha, gamma, beta, cap: float,
+              method: str, with_se: bool) -> AteEstimate:
+    """Point estimate of the effect estimator in the stack's tau row and,
+    with with_se, its standard error from the stacked sandwich: the tau
+    equation is summand minus tau, so every estimated block's uncertainty
+    propagates."""
+    dz = stack.design(d)
+    w = dz.weights(None if alpha is None else alpha.coefficients)
+    if w.max() > cap:
+        raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {cap:.3g}")
+    if stack.effect in ("ipw", "dr"):
+        _check_propensity_cap(d, expit(dz.Xg @ gamma.coefficients), cap)
+    y1, y0 = (float(s.mean()) for s in effect_summands(
+        stack.effect, dz, w, gamma.coefficients, beta.coefficients,
+        y0_sign=stack.y0_sign))
+    est = AteEstimate(tau=y1 - y0, method=method, y1=y1, y0=y0,
+                      notes=_overlap_notes(d))
+    if not with_se:
+        return est
+    theta_hat = stack.pack(alpha, gamma, beta, tau=est.tau)
+    cov = sandwich_covariance(stack.system(), theta_hat, d)
+    return est.with_interval(float(np.sqrt(cov[-1, -1])))
 
 
-def _wee_point(d: Dataset, fitted: FittedModels, which: str,
-               y0_sign: float = 1.0) -> AteEstimate:
-    fitted.weights(d)  # missingness-weight cap check
-    alpha_coef = None if fitted.alpha is None else fitted.alpha.coefficients
-    if which in ("ipw", "dr"):
-        _check_propensity_cap(d, fitted.propensity(d), fitted.weight_cap)
-    s1, s0 = _wee_summands(which, alpha_coef, fitted.gamma.coefficients,
-                           fitted.beta.coefficients, d, fitted.model_spec,
-                           y0_sign=y0_sign)
-    y1 = float(s1.mean())
-    y0 = float(s0.mean())
-    return AteEstimate(tau=y1 - y0, method=f"wee-{which}", y1=y1, y0=y0,
-                       notes=_overlap_notes(d))
+def _wee_estimate(d: Dataset, fitted: FittedModels, which: str, with_se: bool,
+                  y0_sign: float = 1.0) -> AteEstimate:
+    stack = WeeStack(fitted.model_spec, fitted.schema, fitted.gspec,
+                     estimate_alpha="alpha" in fitted.estimated_blocks,
+                     known_alpha_coef=None if fitted.alpha is None
+                     else fitted.alpha.coefficients,
+                     effect=which, y0_sign=y0_sign)
+    return _estimate(d, stack, fitted.alpha, fitted.gamma, fitted.beta,
+                     fitted.weight_cap, f"wee-{which}", with_se)
 
 
 def tau_sandwich_se(d: Dataset, fitted: FittedModels, which: str,
                     y0_sign: float = 1.0) -> float:
-    """Standard error from the stacked system with one extra equation,
-    summand minus tau, so every estimated block's uncertainty propagates."""
-    stack = WeeStack(fitted.model_spec, fitted.schema, fitted.gspec,
-                     estimate_alpha="alpha" in fitted.estimated_blocks,
-                     known_alpha_coef=None if fitted.alpha is None
-                     else fitted.alpha.coefficients)
-    base_dim = stack.dim
-
-    def psi(theta, dd):
-        base = stack.psi(theta[:base_dim], dd)
-        if stack.estimate_alpha:
-            alpha_coef = theta[stack.blocks["alpha"]]
-        else:
-            alpha_coef = stack.known_alpha_coef
-        gamma_coef = theta[stack.blocks["gamma"]]
-        bsl = stack.blocks["beta"]
-        beta_coef = theta[bsl.start:bsl.stop - 1] if stack.gaussian else theta[bsl]
-        s1, s0 = _wee_summands(which, alpha_coef, gamma_coef, beta_coef, dd,
-                               fitted.model_spec, y0_sign=y0_sign)
-        return np.hstack([base, (s1 - s0 - theta[-1])[:, None]])
-
-    point = _wee_point(d, fitted, which, y0_sign=y0_sign)
-    theta_hat = np.concatenate([
-        stack.pack(fitted.alpha, fitted.gamma, fitted.beta), [point.tau]])
-    system = EquationSystem(psi=psi, dim=base_dim + 1)
-    cov = sandwich_covariance(system, theta_hat, d)
-    return float(np.sqrt(cov[-1, -1]))
+    """Stacked-sandwich standard error of one weighted estimator."""
+    return _wee_estimate(d, fitted, which, True, y0_sign).se
 
 
 def tau_wee_or(d: Dataset, fitted: FittedModels, with_se: bool = True) -> AteEstimate:
     """Weighted outcome-regression estimate of the treatment effect."""
-    est = _wee_point(d, fitted, "or")
-    return est.with_interval(tau_sandwich_se(d, fitted, "or")) if with_se else est
+    return _wee_estimate(d, fitted, "or", with_se)
 
 
 def tau_wee_ipw(d: Dataset, fitted: FittedModels, with_se: bool = True) -> AteEstimate:
     """Doubly weighted Horvitz-Thompson estimate (missingness and treatment
     probabilities both inverted)."""
-    est = _wee_point(d, fitted, "ipw")
-    return est.with_interval(tau_sandwich_se(d, fitted, "ipw")) if with_se else est
+    return _wee_estimate(d, fitted, "ipw", with_se)
 
 
 def tau_wee_dr(d: Dataset, fitted: FittedModels, with_se: bool = True,
@@ -181,12 +135,15 @@ def tau_wee_dr(d: Dataset, fitted: FittedModels, with_se: bool = True,
     plus sign, the form under which misspecifying one of the two nuisance
     models leaves the estimator consistent; y0_sign=-1 selects the variant
     with the sign flipped, kept for comparison studies only."""
-    est = _wee_point(d, fitted, "dr", y0_sign=y0_sign)
-    return est.with_interval(tau_sandwich_se(d, fitted, "dr", y0_sign=y0_sign)) \
-        if with_se else est
+    return _wee_estimate(d, fitted, "dr", with_se, y0_sign)
 
 
-# complete-case baselines: textbook formulas on the complete subset
+# complete-case baselines: the weighted estimators with M forced to 1 on
+# the complete subset, which are the textbook OR, Horvitz-Thompson IPW and
+# AIPW formulas
+
+_CC_EFFECTS = {"or": "or", "ipw": "ipw", "aipw": "dr"}
+
 
 def _cc_fits(cc: Dataset, model_spec: ModelSpec):
     ones = np.ones(cc.n)
@@ -196,72 +153,19 @@ def _cc_fits(cc: Dataset, model_spec: ModelSpec):
     return gamma, beta
 
 
-def _cc_pieces(cc: Dataset, gamma, beta, model_spec: ModelSpec):
-    Xg = design_matrix(cc, model_spec.propensity_covariates)
-    H = expit(Xg @ gamma.coefficients)
-    Xb = design_matrix(cc, model_spec.outcome_covariates).copy()
-    j = 1 + model_spec.outcome_covariates.index(TREATMENT)
-    Xb[:, j] = 1.0
-    lp1 = Xb @ beta.coefficients
-    Xb[:, j] = 0.0
-    lp0 = Xb @ beta.coefficients
-    if model_spec.outcome_family == BERNOULLI:
-        return H, expit(lp1), expit(lp0)
-    return H, lp1, lp0
-
-
 def tau_cc(d: Dataset, method: str, model_spec: ModelSpec = None,
            with_se: bool = True, cap: float = 1e4) -> AteEstimate:
     """Complete-case estimate: drop rows with the confounder missing, fit
     unweighted models, apply the standard OR, Horvitz-Thompson IPW, or
     AIPW formula."""
+    if method not in _CC_EFFECTS:
+        raise BadConfig(f"unknown method {method!r}")
     model_spec = model_spec or ModelSpec.default_for(d.schema)
     cc = d.complete_cases()
     gamma, beta = _cc_fits(cc, model_spec)
-    H, O1, O0 = _cc_pieces(cc, gamma, beta, model_spec)
-    a, y = cc.a, cc.y
-    if method == "or":
-        y1 = float(O1.mean())
-        y0 = float(O0.mean())
-    elif method == "ipw":
-        _check_propensity_cap(cc, H, cap)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y1 = float(np.where(a == 1, y / H, 0.0).mean())
-            y0 = float(np.where(a == 0, y / (1.0 - H), 0.0).mean())
-    elif method == "aipw":
-        _check_propensity_cap(cc, H, cap)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y1 = float((O1 + np.where(a == 1, (y - O1) / H, 0.0)).mean())
-            y0 = float((O0 + np.where(a == 0, (y - O0) / (1.0 - H), 0.0)).mean())
-    else:
-        raise BadConfig(f"unknown method {method!r}")
-    est = AteEstimate(tau=y1 - y0, method=f"cc-{method}", y1=y1, y0=y0,
-                      notes=_overlap_notes(cc))
-    if not with_se:
-        return est
-    return est.with_interval(_plain_sandwich_se(cc, gamma, beta, model_spec,
-                                                method, est.tau))
-
-
-def _plain_sandwich_se(cc: Dataset, gamma, beta, model_spec: ModelSpec,
-                       method: str, tau: float) -> float:
-    """Stacked sandwich for the unweighted complete-data estimator."""
     stack = WeeStack(model_spec, cc.schema, None, estimate_alpha=False,
-                     known_alpha_coef=None)
-    base_dim = stack.dim
-    which = {"or": "or", "ipw": "ipw", "aipw": "dr"}[method]
-
-    def psi(theta, dd):
-        base = stack.psi(theta[:base_dim], dd)
-        gamma_coef = theta[stack.blocks["gamma"]]
-        bsl = stack.blocks["beta"]
-        beta_coef = theta[bsl.start:bsl.stop - 1] if stack.gaussian else theta[bsl]
-        s1, s0 = _wee_summands(which, None, gamma_coef, beta_coef, dd, model_spec)
-        return np.hstack([base, (s1 - s0 - theta[-1])[:, None]])
-
-    theta_hat = np.concatenate([stack.pack(None, gamma, beta), [tau]])
-    cov = sandwich_covariance(EquationSystem(psi=psi, dim=base_dim + 1), theta_hat, cc)
-    return float(np.sqrt(cov[-1, -1]))
+                     effect=_CC_EFFECTS[method])
+    return _estimate(cc, stack, None, gamma, beta, cap, f"cc-{method}", with_se)
 
 
 def cc_parameter_fit(d: Dataset, model_spec: ModelSpec = None):

@@ -5,6 +5,9 @@ Stage one solves the moment equation
 for the missing-probability coefficients; stage two solves the propensity
 and outcome score equations weighted by r/M. A joint stacked sandwich at
 the fitted point propagates first-stage uncertainty into every block.
+WeeStack evaluates the stacked equations and their closed-form Jacobian
+from design matrices built once per dataset (Design); stage-one Newton
+and the sandwich bread both use it.
 
 Numerical form used throughout: on r=1 rows, with lp the missing-model
 linear predictor, 1/M - 1 = exp(-lp) and 1/M = 1 + exp(-lp) exactly. This
@@ -14,13 +17,15 @@ itself overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
 
 from .data import Dataset, Observation, Schema
 from .errors import (
+    BadConfig,
     DimensionMismatch,
     ExtremeWeight,
     MissingCovariate,
@@ -39,9 +44,8 @@ from .glm import (
     _row_vector,
     design_matrix,
     fit_model,
-    score_matrix,
 )
-from .solver import EquationSystem, SolveOptions, numeric_jacobian, solve_root
+from .solver import EquationSystem, SolveOptions, solve_root
 
 DEFAULT_WEIGHT_CAP = 1e4
 
@@ -171,38 +175,142 @@ def psi_outcome(beta: LinearModelParams, alpha: LinearModelParams,
     return w * (row.y - mean) * x
 
 
+class Design:
+    """The design matrices of one dataset that the stacked equations read.
+    Each is built on first use and then shared by the equation values and
+    their Jacobian, across Newton iterations and the sandwich."""
+
+    def __init__(self, d: Dataset, model_spec: ModelSpec, gspec: GSpec | None = None):
+        self.d = d
+        self.model_spec = model_spec
+        self.gspec = gspec
+        self.complete = d.r == 1
+
+    @cached_property
+    def Xm(self) -> np.ndarray:
+        return design_matrix(self.d, self.model_spec.missing_covariates)
+
+    @cached_property
+    def G(self) -> np.ndarray:
+        return g_matrix(self.gspec, self.d)
+
+    @cached_property
+    def Xg(self) -> np.ndarray:
+        return design_matrix(self.d, self.model_spec.propensity_covariates)
+
+    @cached_property
+    def Xb(self) -> np.ndarray:
+        return design_matrix(self.d, self.model_spec.outcome_covariates)
+
+    @property
+    def treatment_column(self) -> int:
+        return 1 + self.model_spec.outcome_covariates.index(TREATMENT)
+
+    def tilt(self, alpha_coef) -> tuple[np.ndarray, np.ndarray]:
+        """Missing-model linear predictor lp and exp(-lp); overflow gives inf."""
+        lp = self.Xm @ np.asarray(alpha_coef, dtype=float)
+        with np.errstate(over="ignore"):
+            return lp, np.exp(-lp)
+
+    def weights(self, alpha_coef) -> np.ndarray:
+        """r/M; alpha_coef None means M is forced to 1."""
+        if alpha_coef is None:
+            return self.d.r.copy()
+        return np.where(self.complete, 1.0 + self.tilt(alpha_coef)[1], 0.0)
+
+
 def missing_weights(alpha_coef, d: Dataset, model_spec: ModelSpec) -> np.ndarray:
     """Vector r/M(c,y;alpha); exactly zero on r=0 rows. alpha_coef None
     means M is forced to 1 (no missingness adjustment)."""
-    if alpha_coef is None:
-        return d.r.copy()
-    Xm = design_matrix(d, model_spec.missing_covariates)
-    lp = Xm @ np.asarray(alpha_coef, dtype=float)
-    with np.errstate(over="ignore"):
-        em = np.exp(-lp)
-    return np.where(d.r == 1, 1.0 + em, 0.0)
-
-
-def fitted_missing_probabilities(alpha_coef, d: Dataset, model_spec: ModelSpec) -> np.ndarray:
-    """M(c,y;alpha) on complete cases only."""
-    if alpha_coef is None:
-        return np.ones(int((d.r == 1).sum()))
-    Xm = design_matrix(d, model_spec.missing_covariates)
-    return expit((Xm @ np.asarray(alpha_coef, dtype=float))[d.r == 1])
+    return Design(d, model_spec).weights(alpha_coef)
 
 
 def psi_missing_matrix(alpha_coef, d: Dataset, model_spec: ModelSpec,
                        gspec: GSpec) -> np.ndarray:
-    """(n, dim) stage-one moment values. The tilt factor is exp(-lp) on
+    """(n, dim) stage-one moment values."""
+    dz = Design(d, model_spec, gspec)
+    return _moments(dz, dz.tilt(alpha_coef)[1])
+
+
+def _moments(dz: Design, em: np.ndarray) -> np.ndarray:
+    """Stage-one moment values from em = exp(-lp). The tilt factor is em on
     complete rows and the constant -1 on missing rows; the factor is chosen
     by mask before multiplying into G so overflow never creates NaN."""
-    G = g_matrix(gspec, d)
-    Xm = design_matrix(d, model_spec.missing_covariates)
-    lp = Xm @ np.asarray(alpha_coef, dtype=float)
-    with np.errstate(over="ignore"):
-        em = np.exp(-lp)
-    fac = np.where(d.r == 1, em, -1.0)
-    return fac[:, None] * G
+    return np.where(dz.complete, em, -1.0)[:, None] * dz.G
+
+
+def _moments_jacobian(dz: Design, em: np.ndarray) -> np.ndarray:
+    """d mean(moments) / d alpha = -(1/n) sum_{r=1} exp(-lp) G x_m^T."""
+    return -(dz.G * np.where(dz.complete, em, 0.0)[:, None]).T @ dz.Xm / dz.d.n
+
+
+def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef,
+                    y0_sign: float = 1.0, jacobian: bool = False):
+    """Per-row contributions s1, s0 to Yhat(1) and Yhat(0) for one weighted
+    estimator (or, ipw, dr) under the weights w; both vectors are exactly
+    zero on rows missing the designated confounder. Written so no division
+    happens on rows where the divisor is irrelevant (treated rows never
+    divide by 1-H and so on). With jacobian set, also returns the
+    derivatives of mean(s1 - s0) with respect to gamma and beta at fixed w.
+    """
+    mask = dz.complete
+    j = dz.treatment_column
+    Xb = dz.Xb.copy()
+    Xb[:, j] = 1.0
+    lp1 = Xb @ beta_coef
+    Xb[:, j] = 0.0
+    lp0 = Xb @ beta_coef
+    del Xb
+    if dz.model_spec.outcome_family == BERNOULLI:
+        O1, O0 = expit(lp1), expit(lp0)
+        dO1, dO0 = O1 * (1.0 - O1), O0 * (1.0 - O0)
+    else:
+        O1, O0 = lp1, lp0
+        dO1 = dO0 = 1.0
+    n = dz.d.n
+
+    def beta_gradient(d1, d0):
+        """mean(d1 x_b1 - d0 x_b0), x_b1 and x_b0 the outcome covariates
+        with the treatment set to 1 and to 0."""
+        grad = (d1 - d0) @ dz.Xb / n
+        grad[j] = d1.sum() / n
+        return grad
+
+    if which == "or":
+        s1, s0 = w * O1, w * O0
+        if not jacobian:
+            return s1, s0
+        return s1, s0, np.zeros(dz.Xg.shape[1]), beta_gradient(w * dO1, w * dO0)
+
+    H = expit(dz.Xg @ gamma_coef)
+    treated = dz.d.a == 1
+    y = dz.d.y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if which == "ipw":
+            s1 = np.where(mask & treated, w * y / H, 0.0)
+            s0 = np.where(mask & ~treated, w * y / (1.0 - H), 0.0)
+            if not jacobian:
+                return s1, s0
+            dg = -(s1 * (1.0 - H) + s0 * H)
+            return s1, s0, dg @ dz.Xg / n, np.zeros(dz.Xb.shape[1])
+        if which == "dr":
+            adj1 = np.where(treated, (y - O1) / H, 0.0)
+            s1 = np.where(mask, w * (O1 + adj1), 0.0)
+            if y0_sign > 0:
+                adj0 = np.where(~treated, (y - O0) / (1.0 - H), 0.0)
+                s0 = np.where(mask, w * (O0 + adj0), 0.0)
+            else:
+                adj0 = np.where(~treated, (y + O0) / (1.0 - H), 0.0)
+                s0 = np.where(mask, w * (-O0 + adj0), 0.0)
+            if not jacobian:
+                return s1, s0
+            sign = 1.0 if y0_sign > 0 else -1.0
+            dg = np.where(mask, -w * (adj1 * (1.0 - H) + adj0 * H), 0.0)
+            d1 = np.where(mask, w * dO1 * np.where(treated, 1.0 - 1.0 / H, 1.0), 0.0)
+            d0 = np.where(mask, sign * w * dO0
+                          * np.where(~treated, 1.0 - 1.0 / (1.0 - H), 1.0), 0.0)
+            return s1, s0, dg @ dz.Xg / n, beta_gradient(d1, d0)
+    raise BadConfig(f"unknown estimator {which!r}")
 
 
 @dataclass(frozen=True)
@@ -216,23 +324,34 @@ class FitDiagnostics:
 
 
 class WeeStack:
-    """Stacked per-row equation values for the estimated blocks, as one
-    callable psi(theta, d) suitable for the generic solver. Block order:
-    alpha (when estimated) | gamma | beta [| phi for the Gaussian family].
+    """Stacked per-row equation values for the estimated blocks and the
+    closed-form Jacobian of their average, as one equation system for the
+    generic solver. Block order: alpha (when estimated) | gamma | beta
+    [| phi for the Gaussian family] [| tau when an effect estimator is
+    given]. The tau row is summand minus tau, so the sandwich propagates
+    every estimated block's uncertainty into the effect.
+
+    With alpha known or M forced to 1 (known_alpha_coef None, no alpha
+    block) the weights are constants; a complete-case analysis is this
+    stack with M forced to 1 on the complete cases.
     """
 
     def __init__(self, model_spec: ModelSpec, schema: Schema, gspec: GSpec,
-                 estimate_alpha: bool, known_alpha_coef=None):
+                 estimate_alpha: bool, known_alpha_coef=None, effect: str = None,
+                 y0_sign: float = 1.0):
         self.model_spec = model_spec
         self.schema = schema
         self.gspec = gspec
         self.estimate_alpha = estimate_alpha
         self.known_alpha_coef = known_alpha_coef
+        self.effect = effect
+        self.y0_sign = y0_sign
         self.p_alpha = (1 + len(model_spec.missing_covariates)) if estimate_alpha else 0
         self.p_gamma = 1 + len(model_spec.propensity_covariates)
         self.p_beta = 1 + len(model_spec.outcome_covariates)
         self.gaussian = model_spec.outcome_family == GAUSSIAN
-        self.dim = self.p_alpha + self.p_gamma + self.p_beta + (1 if self.gaussian else 0)
+        self.dim = (self.p_alpha + self.p_gamma + self.p_beta
+                    + (1 if self.gaussian else 0) + (1 if effect else 0))
         blocks = {}
         at = 0
         if estimate_alpha:
@@ -242,10 +361,19 @@ class WeeStack:
         at += self.p_gamma
         end = at + self.p_beta + (1 if self.gaussian else 0)
         blocks["beta"] = slice(at, end)
+        if effect:
+            blocks["tau"] = slice(end, end + 1)
         self.blocks = blocks
+        self._design = None
+
+    def design(self, d: Dataset) -> Design:
+        """The design of d, kept while the stack is used on the same data."""
+        if self._design is None or self._design.d is not d:
+            self._design = Design(d, self.model_spec, self.gspec)
+        return self._design
 
     def pack(self, alpha: LinearModelParams, gamma: LinearModelParams,
-             beta: LinearModelParams) -> np.ndarray:
+             beta: LinearModelParams, tau: float = None) -> np.ndarray:
         parts = []
         if self.estimate_alpha:
             parts.append(alpha.coefficients)
@@ -253,39 +381,89 @@ class WeeStack:
         parts.append(beta.coefficients)
         if self.gaussian:
             parts.append([beta.phi])
+        if self.effect:
+            parts.append([tau])
         return np.concatenate(parts)
 
     def psi(self, theta, d: Dataset) -> np.ndarray:
+        return self.evaluate(theta, d)[0]
+
+    def jacobian(self, theta, d: Dataset) -> np.ndarray:
+        return self.evaluate(theta, d, jacobian=True)[1]
+
+    def evaluate(self, theta, d: Dataset, jacobian: bool = False):
+        """(n, dim) per-row equation values and, with jacobian set, the
+        (dim, dim) Jacobian of their average (else None)."""
         theta = np.asarray(theta, dtype=float)
+        dz = self.design(d)
+        n = d.n
+        b = self.blocks
+        gsl = b["gamma"]
+        bsl = slice(b["beta"].start, b["beta"].start + self.p_beta)
+        gamma_coef = theta[gsl]
+        beta_coef = theta[bsl]
         if self.estimate_alpha:
-            alpha_coef = theta[self.blocks["alpha"]]
+            lp_m, em = dz.tilt(theta[b["alpha"]])
+            w = np.where(dz.complete, 1.0 + em, 0.0)
         else:
-            alpha_coef = self.known_alpha_coef
-        gamma_coef = theta[self.blocks["gamma"]]
-        bsl = self.blocks["beta"]
-        if self.gaussian:
-            beta_coef = theta[bsl.start:bsl.stop - 1]
-            phi = theta[bsl.stop - 1]
-        else:
-            beta_coef = theta[bsl]
-            phi = None
-        w = missing_weights(alpha_coef, d, self.model_spec)
-        parts = []
+            w = dz.weights(self.known_alpha_coef)
+        if self.effect:
+            s1, s0, *effect_gradient = effect_summands(
+                self.effect, dz, w, gamma_coef, beta_coef, self.y0_sign,
+                jacobian=jacobian)
+            effect = s1 - s0
+            del s1, s0  # keeps the peak memory of large fits down
+        vals = np.empty((n, self.dim))
         if self.estimate_alpha:
-            parts.append(psi_missing_matrix(alpha_coef, d, self.model_spec, self.gspec))
-        Xg = design_matrix(d, self.model_spec.propensity_covariates)
-        parts.append(w[:, None] * score_matrix(BERNOULLI, gamma_coef, Xg, d.a))
-        Xb = design_matrix(d, self.model_spec.outcome_covariates)
-        lp = Xb @ beta_coef
+            vals[:, b["alpha"]] = _moments(dz, em)
+        H = expit(dz.Xg @ gamma_coef)
+        vals[:, gsl] = (w * (d.a - H))[:, None] * dz.Xg
+        lp = dz.Xb @ beta_coef
+        mean = lp if self.gaussian else expit(lp)
+        vals[:, bsl] = (w * (d.y - mean))[:, None] * dz.Xb
         if self.gaussian:
-            parts.append((w * (d.y - lp))[:, None] * Xb)
-            parts.append((w * ((d.y - lp) ** 2 - phi))[:, None])
-        else:
-            parts.append((w * (d.y - expit(lp)))[:, None] * Xb)
-        return np.hstack(parts)
+            vals[:, bsl.stop] = w * ((d.y - lp) ** 2 - theta[bsl.stop])
+        if self.effect:
+            vals[:, -1] = effect - theta[-1]
+        if not jacobian:
+            return vals, None
+
+        J = np.zeros((self.dim, self.dim))
+        J[gsl, gsl] = -(dz.Xg * (w * H * (1.0 - H))[:, None]).T @ dz.Xg / n
+        slope = w if self.gaussian else w * mean * (1.0 - mean)
+        J[bsl, bsl] = -(dz.Xb * slope[:, None]).T @ dz.Xb / n
+        if self.gaussian:
+            J[bsl.stop, bsl] = -2.0 * (w * (d.y - lp)) @ dz.Xb / n
+            J[bsl.stop, bsl.stop] = -w.sum() / n
+        if self.effect:
+            J[-1, gsl], J[-1, bsl] = effect_gradient
+            J[-1, -1] = -1.0
+        if self.estimate_alpha:
+            asl = b["alpha"]
+            J[asl, asl] = _moments_jacobian(dz, em)
+            # every later row is w times a factor free of alpha, and on
+            # complete rows dw/dalpha = -exp(-lp) x_m = -w (1 - M) x_m
+            Xm_tilted = dz.Xm * np.where(dz.complete, expit(-lp_m), 0.0)[:, None]
+            J[asl.stop:, asl] = -vals[:, asl.stop:].T @ Xm_tilted / n
+            if self.effect:
+                J[-1, asl] = -effect @ Xm_tilted / n
+        return vals, J
 
     def system(self) -> EquationSystem:
-        return EquationSystem(psi=self.psi, dim=self.dim, blocks=self.blocks)
+        return EquationSystem(psi=self.psi, dim=self.dim, blocks=self.blocks,
+                              jacobian=self.jacobian)
+
+    def moment_system(self) -> EquationSystem:
+        """Stage one alone: the alpha block, which involves no other block."""
+        def psi(alpha_coef, d):
+            dz = self.design(d)
+            return _moments(dz, dz.tilt(alpha_coef)[1])
+
+        def jacobian(alpha_coef, d):
+            dz = self.design(d)
+            return _moments_jacobian(dz, dz.tilt(alpha_coef)[1])
+
+        return EquationSystem(psi=psi, dim=self.p_alpha, jacobian=jacobian)
 
 
 @dataclass(frozen=True)
@@ -313,10 +491,6 @@ class FittedModels:
                 f"weight {w.max():.3g} beyond cap {self.weight_cap:.3g}"
             )
         return w
-
-    def propensity(self, d: Dataset) -> np.ndarray:
-        Xg = design_matrix(d, self.model_spec.propensity_covariates)
-        return expit(Xg @ self.gamma.coefficients)
 
     def outcome_mean(self, d: Dataset, a_value: float) -> np.ndarray:
         """Model mean with the treatment column forced to a_value. On rows
@@ -351,18 +525,13 @@ def _naive_alpha_init(d: Dataset, model_spec: ModelSpec) -> np.ndarray:
     return init
 
 
-def _solve_alpha(d: Dataset, model_spec: ModelSpec, gspec: GSpec, opts: SolveOptions,
-                 restarts: int, restart_seed) -> tuple[np.ndarray, int, int]:
-    system = EquationSystem(
-        psi=lambda theta, dd: psi_missing_matrix(theta, dd, model_spec, gspec),
-        dim=gspec.dim,
-    )
-    init = _naive_alpha_init(d, model_spec)
+def _solve_alpha(d: Dataset, stack: WeeStack, opts: SolveOptions, restarts: int,
+                 restart_seed) -> tuple[np.ndarray, int, int]:
+    system = stack.moment_system()
+    init = _naive_alpha_init(d, stack.model_spec)
     stats: dict = {}
     try:
-        root = solve_root(system, d, SolveOptions(
-            max_iter=opts.max_iter, tol=opts.tol, halvings=opts.halvings,
-            jac_step=opts.jac_step, init=init), stats=stats)
+        root = solve_root(system, d, replace(opts, init=init), stats=stats)
         return root, stats.get("iterations", 0), 0
     except (NoConvergence, SingularJacobian) as err:
         last = err
@@ -370,9 +539,7 @@ def _solve_alpha(d: Dataset, model_spec: ModelSpec, gspec: GSpec, opts: SolveOpt
     for attempt in range(1, restarts + 1):
         jitter = init + 0.5 * rng.standard_normal(init.shape)
         try:
-            root = solve_root(system, d, SolveOptions(
-                max_iter=opts.max_iter, tol=opts.tol, halvings=opts.halvings,
-                jac_step=opts.jac_step, init=jitter), stats=stats)
+            root = solve_root(system, d, replace(opts, init=jitter), stats=stats)
             return root, stats.get("iterations", 0), attempt
         except (NoConvergence, SingularJacobian) as err:
             last = err
@@ -408,36 +575,41 @@ def fit_wee(d: Dataset, model_spec: ModelSpec = None, gspec: GSpec = None,
             )
         gspec = gspec or default_G(model_spec, schema)
         gspec.validate(schema, model_spec)
+        stack = WeeStack(model_spec, schema, gspec, estimate_alpha=True)
         alpha_coef, iters, used_restarts = _solve_alpha(
-            d, model_spec, gspec, opts, restarts, restart_seed)
+            d, stack, opts, restarts, restart_seed)
         alpha = LinearModelParams(alpha_coef, model_spec.missing_covariates)
     else:
         gspec = gspec or (default_G(model_spec, schema) if not unit_missing_model else None)
         alpha = None if unit_missing_model else known_alpha
         if alpha is not None and tuple(alpha.covariates) != model_spec.missing_covariates:
             raise DimensionMismatch("known alpha covariates disagree with the model spec")
+        alpha_coef = None if alpha is None else alpha.coefficients
+        stack = WeeStack(model_spec, schema, gspec, estimate_alpha=False,
+                         known_alpha_coef=alpha_coef)
         iters, used_restarts = 0, 0
 
-    alpha_coef = None if alpha is None else alpha.coefficients
-    w = missing_weights(alpha_coef, d, model_spec)
+    dz = stack.design(d)
+    w = dz.weights(alpha_coef)
     if w.max() > weight_cap:
         raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {weight_cap:.3g}")
-    m_fit = fitted_missing_probabilities(alpha_coef, d, model_spec)
+    if alpha_coef is None:
+        m_fit = np.ones(n_complete)
+    else:
+        m_fit = expit(dz.tilt(alpha_coef)[0][dz.complete])
 
     gamma = fit_model(d, model_spec.propensity_covariates, TREATMENT, w,
                       BERNOULLI)
     beta = fit_model(d, model_spec.outcome_covariates, OUTCOME, w,
                      model_spec.outcome_family)
 
-    stack = WeeStack(model_spec, schema, gspec, estimate_alpha,
-                     known_alpha_coef=alpha_coef)
     theta_hat = stack.pack(alpha, gamma, beta)
-    residual = np.abs(np.asarray(stack.psi(theta_hat, d)).mean(axis=0))
+    residual = np.abs(stack.psi(theta_hat, d).mean(axis=0))
     residual_sup = {name: float(residual[s].max()) for name, s in stack.blocks.items()}
 
     if covariance:
         from .solver import sandwich_covariance
-        cov = sandwich_covariance(stack.system(), theta_hat, d, step=opts.jac_step)
+        cov = sandwich_covariance(stack.system(), theta_hat, d)
     else:
         cov = np.full((stack.dim, stack.dim), np.nan)
 

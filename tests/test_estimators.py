@@ -1,5 +1,6 @@
 """Treatment-effect estimators: weighted, complete-case, multiple
-imputation, bootstrap, and the stacked-sandwich standard error."""
+imputation, bootstrap, and the stacked-sandwich standard error with its
+closed-form Jacobian."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mnarcause import (
     BadConfig,
     Dataset,
+    EquationSystem,
     ExtremeWeight,
     FittedModels,
     LinearModelParams,
@@ -18,10 +20,15 @@ from mnarcause import (
     TooFewDonors,
     TooManyFailures,
     bootstrap_ci,
+    WeeStack,
     cc_parameter_fit,
     fit_wee,
+    generate_table1,
+    generate_table2,
     impute_pmm,
+    numeric_jacobian,
     rubin_combine,
+    sandwich_covariance,
     tau_cc,
     tau_mi,
     tau_sandwich_se,
@@ -459,3 +466,87 @@ class TestBootstrap:
 
         with pytest.raises(ValueError):
             bootstrap_ci(buggy, d, B=10, seed=5)
+
+
+def numeric_bread_se(stack, theta_hat, d):
+    """The tau SE with the same equations but the central-difference bread."""
+    system = EquationSystem(psi=stack.psi, dim=stack.dim)
+    return float(np.sqrt(sandwich_covariance(system, theta_hat, d)[-1, -1]))
+
+
+def effect_stack(fitted, which, y0_sign=1.0):
+    return WeeStack(fitted.model_spec, fitted.schema, fitted.gspec,
+                    estimate_alpha="alpha" in fitted.estimated_blocks,
+                    known_alpha_coef=None if fitted.alpha is None
+                    else fitted.alpha.coefficients,
+                    effect=which, y0_sign=y0_sign)
+
+
+EFFECTS = [("or", 1.0), ("ipw", 1.0), ("dr", 1.0), ("dr", -1.0)]
+
+
+class TestEffectRowJacobian:
+    """The tau row's closed-form Jacobian against numeric_jacobian, and the
+    estimators' SEs against the numeric-bread sandwich of the same stack."""
+
+    def fixtures(self):
+        cont, _ = generate_table1("continuous", 600, seed=50)
+        binary, _ = generate_table1("binary", 600, seed=51)
+        table2, _ = generate_table2("ompm", 600, seed=52)
+        known = LinearModelParams(np.array([1.0, -2.0, 1.0, 3.0]),
+                                  ("c1", "c2", "y"))
+        return [(cont, fit_wee(cont, covariance=False)),
+                (binary, fit_wee(binary, covariance=False)),
+                (table2, fit_wee(table2, known_alpha=known, covariance=False)),
+                (cont, fit_wee(cont, unit_missing_model=True, covariance=False))]
+
+    @pytest.mark.parametrize("which,sign", EFFECTS)
+    def test_jacobian_away_from_root(self, which, sign):
+        for d, fitted in self.fixtures():
+            stack = effect_stack(fitted, which, sign)
+            theta = stack.pack(fitted.alpha, fitted.gamma, fitted.beta, tau=0.5)
+            theta = theta + np.linspace(-0.05, 0.05, stack.dim)
+            closed = stack.jacobian(theta, d)
+            numeric = numeric_jacobian(stack.system(), theta, d)
+            scale = np.abs(numeric).max()
+            np.testing.assert_allclose(closed, numeric, rtol=1e-6,
+                                       atol=1e-6 * scale)
+
+    @pytest.mark.parametrize("which,sign", EFFECTS)
+    def test_se_matches_numeric_bread(self, which, sign):
+        fns = {"or": tau_wee_or, "ipw": tau_wee_ipw, "dr": tau_wee_dr}
+        for d, fitted in self.fixtures():
+            kwargs = {"y0_sign": sign} if which == "dr" else {}
+            est = fns[which](d, fitted, **kwargs)
+            stack = effect_stack(fitted, which, sign)
+            theta_hat = stack.pack(fitted.alpha, fitted.gamma, fitted.beta,
+                                   tau=est.tau)
+            assert est.se == pytest.approx(numeric_bread_se(stack, theta_hat, d),
+                                           rel=1e-6)
+
+    @pytest.mark.parametrize("method", ["or", "ipw", "aipw"])
+    def test_cc_se_matches_numeric_bread(self, method):
+        for kind, seed in (("continuous", 53), ("binary", 54)):
+            d, _ = generate_table1(kind, 600, seed=seed)
+            est = tau_cc(d, method)
+            cc = d.complete_cases()
+            fitted = fit_wee(cc, unit_missing_model=True, covariance=False)
+            which = {"or": "or", "ipw": "ipw", "aipw": "dr"}[method]
+            stack = effect_stack(fitted, which)
+            theta_hat = stack.pack(None, fitted.gamma, fitted.beta, tau=est.tau)
+            closed = stack.jacobian(theta_hat, cc)
+            numeric = numeric_jacobian(stack.system(), theta_hat, cc)
+            np.testing.assert_allclose(closed, numeric, rtol=1e-6,
+                                       atol=1e-6 * np.abs(numeric).max())
+            assert est.se == pytest.approx(numeric_bread_se(stack, theta_hat, cc),
+                                           rel=1e-6)
+
+    def test_fit_covariance_matches_numeric_bread(self):
+        for d, fitted in self.fixtures():
+            stack = effect_stack(fitted, None)
+            theta_hat = stack.pack(fitted.alpha, fitted.gamma, fitted.beta)
+            closed = sandwich_covariance(stack.system(), theta_hat, d)
+            numeric = sandwich_covariance(
+                EquationSystem(psi=stack.psi, dim=stack.dim), theta_hat, d)
+            np.testing.assert_allclose(np.sqrt(np.diag(closed)),
+                                       np.sqrt(np.diag(numeric)), rtol=1e-6)

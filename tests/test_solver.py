@@ -1,5 +1,5 @@
-"""Estimating-equation engine: averaging, numeric Jacobians, damped
-Newton, sandwich covariance."""
+"""Estimating-equation engine: averaging, numeric and closed-form
+Jacobians, damped Newton, sandwich covariance."""
 
 import numpy as np
 import pytest
@@ -170,6 +170,43 @@ class TestSolveRoot:
         sys = mean_system()
         root = solve_root(sys, d, SolveOptions(init=np.array([10.0])))
         assert np.abs(average_psi(sys, root, d)).max() < 1e-8
+
+
+class TestClosedFormJacobian:
+    def test_solve_root_uses_it(self):
+        # with the exact derivative the affine equation is solved exactly in
+        # one step, and the finite differences are never taken
+        d = dataset_from_y([0.0])
+        calls = {"psi": 0}
+
+        def psi(th, dd):
+            calls["psi"] += 1
+            return np.array([[th[0] - 2.5]])
+
+        sys = EquationSystem(psi=psi, dim=1,
+                             jacobian=lambda th, dd: np.array([[1.0]]))
+        stats = {}
+        root = solve_root(sys, d, SolveOptions(init=np.array([0.0])), stats=stats)
+        assert root[0] == 2.5
+        assert stats["iterations"] == 1
+        assert calls["psi"] == 2  # the start and the accepted step
+
+    def test_sandwich_uses_it(self):
+        y = np.array([0.7, -0.3, 1.9, 2.4, -1.5, 0.2])
+        d = dataset_from_y(y)
+        sys = EquationSystem(psi=lambda th, dd: (dd.y - th[0])[:, None], dim=1,
+                             jacobian=lambda th, dd: np.array([[-1.0]]))
+        cov = sandwich_covariance(sys, np.array([y.mean()]), d)
+        assert cov[0, 0] == pytest.approx(np.var(y) / y.size, rel=1e-14)
+
+    def test_non_finite_jacobian(self):
+        d = dataset_from_y([0.0])
+        sys = EquationSystem(psi=lambda th, dd: np.array([[th[0] - 1.0]]), dim=1,
+                             jacobian=lambda th, dd: np.array([[np.nan]]))
+        with pytest.raises(NonFiniteEvaluation):
+            solve_root(sys, d, SolveOptions(init=np.array([0.0])))
+        with pytest.raises(NonFiniteEvaluation):
+            sandwich_covariance(sys, np.array([1.0]), d)
 
 
 class TestSandwichCovariance:

@@ -1,5 +1,8 @@
 """Two-stage weighted estimating equations: moment function construction,
-stage-one and stage-two contracts, stacked sandwich plumbing."""
+stage-one and stage-two contracts, closed-form Jacobians, stacked sandwich
+plumbing."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from mnarcause import (
     LinearModelParams,
     MissingnessDegenerate,
     ModelSpec,
+    NoConvergence,
     Schema,
     WeeStack,
     cc_parameter_fit,
@@ -19,6 +23,8 @@ from mnarcause import (
     fit_wee,
     generate_table1,
     missing_weights,
+    numeric_jacobian,
+    resample,
 )
 from mnarcause.glm import GAUSSIAN, expit, weighted_glm_fit
 from mnarcause.wee import (
@@ -325,3 +331,86 @@ class TestGMatrix:
         mat = g_matrix(gspec, d)
         rows = np.vstack([build_G(gspec, row, d.schema) for row in d.rows()])
         assert np.array_equal(mat, rows)
+
+
+def jacobian_oracle_check(system, theta, d):
+    """The closed-form Jacobian equals the central-difference one to 1e-6
+    relative, entries near zero judged against the largest entry."""
+    closed = system.jacobian(theta, d)
+    numeric = numeric_jacobian(system, theta, d)
+    scale = np.abs(numeric).max()
+    np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=1e-6 * scale)
+
+
+def binary_two_confounder_dataset(n=400, seed=0):
+    d, _ = two_confounder_dataset(n=n, seed=seed)
+    y = (np.random.default_rng(seed + 100).random(n)
+         < expit(-0.3 + 0.9 * d.a + 0.4 * d.confounder("c2"))).astype(float)
+    schema = Schema("a", "y", ("c1", "c2"), "c1", outcome_family="binary")
+    return Dataset(a=d.a, y=y, c=d.c, schema=schema)
+
+
+class TestClosedFormJacobians:
+    """Every production equation system against numeric_jacobian, at points
+    away from the root so that every term of the derivative is exercised."""
+
+    def test_stage_one(self):
+        for d in (two_confounder_dataset(n=300, seed=40)[0],
+                  generate_table1("continuous", 500, seed=41)[0],
+                  generate_table1("binary", 500, seed=42)[0]):
+            spec = ModelSpec.default_for(d.schema)
+            gspec = default_G(spec, d.schema)
+            system = WeeStack(spec, d.schema, gspec, True).moment_system()
+            alpha = np.linspace(0.4, -0.3, gspec.dim)
+            jacobian_oracle_check(system, alpha, d)
+
+    @pytest.mark.parametrize("family", ["gaussian", "binary"])
+    @pytest.mark.parametrize("mode", ["estimated", "known", "unit"])
+    def test_stack(self, family, mode):
+        if family == "gaussian":
+            d, _ = two_confounder_dataset(n=300, seed=43)
+        else:
+            d = binary_two_confounder_dataset(n=300, seed=44)
+        spec = ModelSpec.default_for(d.schema)
+        gspec = default_G(spec, d.schema)
+        alpha = LinearModelParams(np.array([0.6, -0.5, 0.3, 0.4]),
+                                  spec.missing_covariates)
+        gamma = LinearModelParams(np.array([0.2, 0.3, -0.2]),
+                                  spec.propensity_covariates)
+        phi = 1.3 if family == "gaussian" else None
+        beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
+                                 spec.outcome_covariates, phi=phi)
+        known = alpha.coefficients if mode == "known" else None
+        stack = WeeStack(spec, d.schema, gspec, mode == "estimated",
+                         known_alpha_coef=known)
+        theta = stack.pack(alpha, gamma, beta)
+        jacobian_oracle_check(stack.system(), theta, d)
+
+    def test_alpha_block_is_stage_one(self):
+        d, _ = two_confounder_dataset(n=200, seed=45)
+        spec = ModelSpec.default_for(SCHEMA2)
+        gspec = default_G(spec, SCHEMA2)
+        stack = WeeStack(spec, SCHEMA2, gspec, True)
+        alpha = np.array([0.5, -0.4, 0.2, 0.3])
+        theta = np.concatenate([alpha, [0.1, 0.2, -0.1],
+                                [0.3, 1.1, 0.6, -0.5, 1.2]])
+        a = stack.blocks["alpha"]
+        np.testing.assert_array_equal(
+            stack.jacobian(theta, d)[a, a],
+            stack.moment_system().jacobian(alpha, d))
+        np.testing.assert_array_equal(
+            stack.psi(theta, d)[:, a], psi_missing_matrix(alpha, d, spec, gspec))
+
+
+class TestStageOneWarnings:
+    def test_no_runtime_warning_on_failed_resample(self):
+        # a bootstrap resample whose stage-one Newton stalls: trial points
+        # overflow exp(-lp), and those non-finite values are rejected by the
+        # line search without a RuntimeWarning
+        d, _ = generate_table1("continuous", 2000, 12)
+        boot = resample(d, np.random.SeedSequence((0, 27)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NoConvergence):
+                fit_wee(boot)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
