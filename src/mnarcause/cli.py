@@ -20,6 +20,7 @@ from .errors import BadConfig, BadValue, EquivalenceViolated, MnarError
 from .estimators import (
     MiOptions,
     bootstrap_ci,
+    impute_pmm,
     tau_cc,
     tau_mi,
     tau_wee_dr,
@@ -69,7 +70,6 @@ def _build_parser() -> _Parser:
     fit.add_argument("--seed", type=int)
     fit.add_argument("--out", help="report file path")
     fit.add_argument("--format", choices=("csv", "json"))
-    fit.add_argument("--threads", type=int)
 
     sim = sub.add_parser("simulate", help="run a replicated synthetic study")
     sim.add_argument("--config", help="flat key=value file; flags override it")
@@ -83,7 +83,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int)
     sim.add_argument("--out", help="metrics file; raw estimates go next to it")
     sim.add_argument("--format", choices=("csv", "json"))
-    sim.add_argument("--threads", type=int)
 
     chk = sub.add_parser("example1-check",
                          help="observed-data equivalence of two parameter sets")
@@ -112,7 +111,7 @@ def _read_config(path: str) -> dict:
 
 _CONFIG_TYPES = {
     "bootstrap": int, "mi_m": int, "mi_k": int, "seed": int, "n": int,
-    "reps": int, "threads": int, "alpha1_prime": float, "phi": float,
+    "reps": int, "alpha1_prime": float, "phi": float,
 }
 
 
@@ -139,8 +138,6 @@ def _merge_config(args: argparse.Namespace):
                 raise BadConfig(f"MNAR_SEED is not an integer: {env!r}") from None
         else:
             args.seed = 0
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        raise BadConfig("thread bound must be positive")
 
 
 def _split_list(raw: str) -> tuple:
@@ -240,16 +237,21 @@ def cmd_fit(args) -> int:
     mi_opts = MiOptions(m=args.mi_m or 10, k=args.mi_k or 5, seed=args.seed)
 
     fitted = fit_wee(d, model_spec, gspec, restart_seed=args.seed)
-
-    results = []
+    shared = {"wee": fitted}
+    estimates = {}
     for m in methods:
-        est = _point_estimator(m, d, fitted, model_spec, gspec, mi_opts,
-                               with_se=True)
-        boot = None
-        if args.bootstrap:
-            fn = _boot_closure(m, model_spec, gspec, mi_opts)
-            boot = bootstrap_ci(fn, d, args.bootstrap, args.seed)
-        results.append((m, est, boot))
+        kind = m.split("-")[0]
+        if kind not in shared:
+            shared[kind] = _shared_step(kind, d, model_spec, gspec, mi_opts)
+        estimates[m] = _estimate(m, d, shared[kind], model_spec, mi_opts,
+                                 with_se=True)
+    boots = {}
+    if args.bootstrap:
+        for members, estimator in _boot_groups(methods, model_spec, gspec,
+                                               mi_opts):
+            res = bootstrap_ci(estimator, d, args.bootstrap, args.seed)
+            boots.update((m, res.component(k)) for k, m in enumerate(members))
+    results = [(m, estimates[m], boots.get(m)) for m in methods]
 
     rows = _fit_report_rows(fitted, results)
     if args.out:
@@ -260,30 +262,53 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _point_estimator(method, d, fitted, model_spec, gspec, mi_opts,
-                     with_se: bool):
+def _shared_step(kind, d, model_spec, gspec, mi_opts):
+    """The costly step that the estimators of one kind share on a dataset:
+    the stage-one and stage-two fit of the WEE estimators (without its
+    covariance) and the imputations of the MI ones; CC estimators share
+    none."""
+    if kind == "wee":
+        return fit_wee(d, model_spec, gspec, covariance=False)
+    if kind == "mi":
+        return impute_pmm(d, mi_opts)
+    return None
+
+
+def _estimate(method, d, shared, model_spec, mi_opts, with_se: bool):
+    """One estimator on d, given the step shared by its kind."""
     if method == "wee-or":
-        return tau_wee_or(d, fitted, with_se=with_se)
+        return tau_wee_or(d, shared, with_se=with_se)
     if method == "wee-ipw":
-        return tau_wee_ipw(d, fitted, with_se=with_se)
+        return tau_wee_ipw(d, shared, with_se=with_se)
     if method == "wee-dr":
-        return tau_wee_dr(d, fitted, with_se=with_se)
+        return tau_wee_dr(d, shared, with_se=with_se)
     if method.startswith("cc-"):
         return tau_cc(d, method[3:], model_spec, with_se=with_se)
-    if method.startswith("mi-"):
-        return tau_mi(d, method[3:], mi_opts, model_spec, with_se=with_se)
-    raise BadConfig(f"unknown estimator {method!r}")
+    return tau_mi(d, method[3:], mi_opts, model_spec, with_se=with_se,
+                  completed=shared)
 
 
-def _boot_closure(method, model_spec, gspec, mi_opts):
-    def run(boot_d):
-        if method.startswith("wee-"):
-            fitted = fit_wee(boot_d, model_spec, gspec, covariance=False)
-            return _point_estimator(method, boot_d, fitted, model_spec,
-                                    gspec, mi_opts, with_se=False).tau
-        return _point_estimator(method, boot_d, None, model_spec, gspec,
-                                mi_opts, with_se=False).tau
-    return run
+def _boot_groups(methods, model_spec, gspec, mi_opts) -> list:
+    """(members, estimator) pairs for bootstrap_ci, one per group of
+    estimators that share their costly step on a resample: all WEE
+    estimators, all MI estimators, and each CC estimator on its own. The
+    estimator returns one tau per member; bootstrap_ci leaves a resample on
+    which any member fails out of the whole group."""
+    groups = {}
+    for m in methods:
+        kind = m.split("-")[0]
+        groups.setdefault(m if kind == "cc" else kind, []).append(m)
+
+    def estimator(members):
+        kind = members[0].split("-")[0]
+
+        def run(boot_d):
+            shared = _shared_step(kind, boot_d, model_spec, gspec, mi_opts)
+            return [_estimate(m, boot_d, shared, model_spec, mi_opts,
+                              with_se=False).tau for m in members]
+        return run
+
+    return [(members, estimator(members)) for members in groups.values()]
 
 
 def _raw_path(out: str) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, resample
 from .errors import (
@@ -33,6 +32,7 @@ from .glm import (
     LinearModelParams,
     ModelSpec,
     design_matrix,
+    expit,
     fit_model,
 )
 from .solver import sandwich_covariance
@@ -300,14 +300,19 @@ def rubin_combine(points: np.ndarray, variances: np.ndarray):
 
 
 def tau_mi(d: Dataset, method: str, opts: MiOptions = None,
-           model_spec: ModelSpec = None, with_se: bool = True) -> AteEstimate:
+           model_spec: ModelSpec = None, with_se: bool = True,
+           completed: list = None) -> AteEstimate:
     """Multiple-imputation estimate: the complete-data estimator applied to
-    each completed dataset, combined across imputations."""
+    each completed dataset, combined across imputations. completed, when
+    given, must be impute_pmm(d, opts); several MI estimators of one dataset
+    then share one imputation."""
     opts = opts or MiOptions()
     model_spec = model_spec or ModelSpec.default_for(d.schema)
+    if completed is None:
+        completed = impute_pmm(d, opts)
     points, variances = [], []
-    for completed in impute_pmm(d, opts):
-        est = tau_cc(completed, method, model_spec, with_se=with_se)
+    for dataset in completed:
+        est = tau_cc(dataset, method, model_spec, with_se=with_se)
         points.append(est.tau)
         variances.append(est.se**2 if with_se else np.nan)
     if with_se:
@@ -351,17 +356,41 @@ def mi_parameter_fit(d: Dataset, opts: MiOptions = None,
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    se: float
+    """se and ci are floats for a scalar estimator. For an estimator of K
+    components se is a (K,) array, ci a pair of (K,) arrays (lower, upper)
+    and estimates a (B - failures, K) array."""
+
+    se: float | np.ndarray
     ci: tuple
     estimates: np.ndarray
     failures: int
+
+    def component(self, k: int) -> "BootstrapResult":
+        """The scalar result of component k of a vector estimator."""
+        return BootstrapResult(se=float(self.se[k]),
+                               ci=(float(self.ci[0][k]), float(self.ci[1][k])),
+                               estimates=self.estimates[:, k],
+                               failures=self.failures)
+
+
+def _percentile_summary(est: np.ndarray) -> tuple:
+    se = float(np.std(est, ddof=1))
+    lo, hi = np.percentile(est, [2.5, 97.5], method="inverted_cdf")
+    return se, float(lo), float(hi)
 
 
 def bootstrap_ci(estimator, d: Dataset, B: int, seed: int) -> BootstrapResult:
     """Nonparametric bootstrap: B resamples with replacement, estimator
     failures excluded up to a 10% ceiling, percentile interval as the inverse
     of the bootstrap CDF (Efron & Tibshirani 1993, sec. 13.3): Hyndman & Fan
-    (1996) type 1, so both endpoints are elements of the estimates."""
+    (1996) type 1, so both endpoints are elements of the estimates.
+
+    The estimator returns one float, or a 1-D vector of K estimates that
+    share work on a resample (several estimators of one fit, say). A
+    resample on which it raises is left out of every component, and failures
+    counts those resamples once. Each component's SE and interval come from
+    its own column, so they equal what a scalar estimator of that component
+    alone gives when it fails on the same resamples."""
     if B < 2:
         raise BadConfig("at least two resamples required")
     estimates = []
@@ -369,13 +398,18 @@ def bootstrap_ci(estimator, d: Dataset, B: int, seed: int) -> BootstrapResult:
     for b in range(B):
         boot = resample(d, np.random.SeedSequence((seed, b)))
         try:
-            estimates.append(float(estimator(boot)))
+            estimates.append(np.asarray(estimator(boot), dtype=float))
         except MnarError:
             failures += 1
     if failures > 0.1 * B:
         raise TooManyFailures(f"{failures} of {B} bootstrap replicates failed")
     est = np.asarray(estimates)
-    se = float(np.std(est, ddof=1))
-    lo, hi = np.percentile(est, [2.5, 97.5], method="inverted_cdf")
-    return BootstrapResult(se=se, ci=(float(lo), float(hi)), estimates=est,
-                           failures=failures)
+    if est.ndim == 1:
+        se, lo, hi = _percentile_summary(est)
+        return BootstrapResult(se=se, ci=(lo, hi), estimates=est,
+                               failures=failures)
+    # one contiguous column at a time: np.std along an axis of the matrix
+    # would sum in another order than the scalar path
+    se, lo, hi = np.array([_percentile_summary(np.ascontiguousarray(col))
+                           for col in est.T]).T
+    return BootstrapResult(se=se, ci=(lo, hi), estimates=est, failures=failures)

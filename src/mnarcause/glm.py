@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit as _expit
 
 from .data import Dataset, Observation, Schema
 from .errors import (
@@ -30,8 +29,11 @@ OUTCOME = "y"
 
 
 def expit(x):
-    """Logistic function 1/(1+exp(-x)), overflow-safe for large |x|."""
-    return _expit(x)
+    """Logistic function 1/(1+exp(-x)). Below x = -709.78 exp(-x)
+    overflows to inf and the value is 0, less than 1e-308 from the true
+    one; that overflow is expected and not reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,10 @@ class ModelSpec:
         )
 
 
-def design_matrix(d: Dataset, covariates: tuple[str, ...], fill_missing: bool = True) -> np.ndarray:
+def design_matrix(d: Dataset, covariates: tuple[str, ...]) -> np.ndarray:
     """(n, 1+p) design with intercept first. The designated confounder column
-    is zero-filled on r=0 rows when fill_missing is set; callers must mask
-    those rows out by weights, which downstream code always does."""
+    is zero-filled on r=0 rows; callers must mask those rows out by weights,
+    which downstream code always does."""
     cols = [np.ones(d.n)]
     for name in covariates:
         if name == TREATMENT:
@@ -104,7 +106,7 @@ def design_matrix(d: Dataset, covariates: tuple[str, ...], fill_missing: bool = 
             cols.append(d.y)
         elif name in d.schema.confounders:
             col = d.confounder(name)
-            if name == d.schema.missing and fill_missing:
+            if name == d.schema.missing:
                 col = np.where(d.r == 1, col, 0.0)
             cols.append(col)
         else:
@@ -133,7 +135,7 @@ def linear_predictor(params: LinearModelParams, row: Observation, schema: Schema
 
 
 def model_probability(params: LinearModelParams, row: Observation, schema: Schema) -> float:
-    return float(_expit(linear_predictor(params, row, schema)))
+    return float(expit(linear_predictor(params, row, schema)))
 
 
 def score(family: str, params: LinearModelParams, row: Observation, schema: Schema,
@@ -142,14 +144,14 @@ def score(family: str, params: LinearModelParams, row: Observation, schema: Sche
     factor, which rescales but never moves the root."""
     x = _row_vector(row, params.covariates, schema)
     lp = float(x @ params.coefficients)
-    mean = _expit(lp) if family == BERNOULLI else lp
+    mean = expit(lp) if family == BERNOULLI else lp
     return (observed - mean) * x
 
 
 def score_matrix(family: str, coef: np.ndarray, X: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Vectorized scores, one row per observation."""
     lp = X @ coef
-    mean = _expit(lp) if family == BERNOULLI else lp
+    mean = expit(lp) if family == BERNOULLI else lp
     return (observed - mean)[:, None] * X
 
 
@@ -190,12 +192,12 @@ def weighted_glm_fit(X: np.ndarray, observed: np.ndarray, weights: np.ndarray, f
         return LinearModelParams(coef, covariates, phi=phi)
 
     coef = np.zeros(p)
-    g = (w * (observed - _expit(X @ coef))) @ X
+    g = (w * (observed - expit(X @ coef))) @ X
     norm = np.abs(g).max()
     for _ in range(max_iter):
         if norm < tol:
             break
-        prob = _expit(X @ coef)
+        prob = expit(X @ coef)
         H = (X * (w * prob * (1 - prob))[:, None]).T @ X
         try:
             step = np.linalg.solve(H, g)
@@ -205,7 +207,7 @@ def weighted_glm_fit(X: np.ndarray, observed: np.ndarray, weights: np.ndarray, f
         stalled = True
         for _ in range(31):
             cand = coef + lam * step
-            gc = (w * (observed - _expit(X @ cand))) @ X
+            gc = (w * (observed - expit(X @ cand))) @ X
             nc = np.abs(gc).max()
             if np.isfinite(nc) and nc < norm:
                 coef, g, norm = cand, gc, nc

@@ -12,11 +12,9 @@ when the missingness model is unrestricted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import expit, ndtri
 
 from .data import Dataset, Schema
 from .errors import (
@@ -28,6 +26,7 @@ from .errors import (
 from .estimators import (
     MiOptions,
     cc_parameter_fit,
+    impute_pmm,
     mi_parameter_fit,
     tau_cc,
     tau_mi,
@@ -35,7 +34,7 @@ from .estimators import (
     tau_wee_ipw,
     tau_wee_or,
 )
-from .glm import LinearModelParams
+from .glm import LinearModelParams, expit
 from .wee import fit_wee
 
 TABLE1_SCENARIOS = ("table1-binary", "table1-continuous")
@@ -121,7 +120,9 @@ class MonteCarloReport:
 
 def _draw_normal(rng, n: int) -> np.ndarray:
     # inverse-CDF transform keeps the stream reproducible for a given
-    # generator state regardless of how many variates other draws consumed
+    # generator state regardless of how many variates other draws consumed;
+    # scipy is imported here so that importing the package does not load it
+    from scipy.special import ndtri
     return ndtri(rng.random(n))
 
 
@@ -223,40 +224,44 @@ def _rep_table1(d: Dataset, method: str, est_seeds, mi_opts: MiOptions):
 
 def _rep_table2(d: Dataset, methods, est_seeds, mi_opts: MiOptions) -> dict:
     """method -> (estimate, se) for one replication; per-method failures
-    recorded as exceptions in the returned dict."""
+    recorded as exceptions in the returned dict. The WEE estimators share
+    one fit under the true alpha and the MI estimators one imputation; a
+    failure of that shared step is recorded for each of them."""
     out = {}
-    wee_methods = [m for m in methods if m.startswith("wee-")]
-    if wee_methods:
+
+    def each(members, shared, estimate):
+        if not members:
+            return
         try:
-            known = LinearModelParams(np.asarray(TABLE2_ALPHA), ("c1", "c2", "y"))
-            fitted = fit_wee(d, known_alpha=known, covariance=False)
+            value = shared()
         except MnarError as err:
-            fitted = err
-        for m in wee_methods:
-            if isinstance(fitted, MnarError):
-                out[m] = fitted
-                continue
+            out.update((m, err) for m in members)
+            return
+        for m in members:
             try:
-                fn = {"wee-or": tau_wee_or, "wee-ipw": tau_wee_ipw,
-                      "wee-dr": tau_wee_dr}[m]
-                est = fn(d, fitted)
+                est = estimate(m, value)
                 out[m] = (est.tau, est.se)
             except MnarError as err:
                 out[m] = err
-    for m in methods:
-        if m.startswith("cc-"):
-            try:
-                est = tau_cc(d, m[3:])
-                out[m] = (est.tau, est.se)
-            except MnarError as err:
-                out[m] = err
-        elif m.startswith("mi-"):
-            try:
-                opts = MiOptions(m=mi_opts.m, k=mi_opts.k, seed=est_seeds[1])
-                est = tau_mi(d, m[3:], opts)
-                out[m] = (est.tau, est.se)
-            except MnarError as err:
-                out[m] = err
+
+    def wee_fit():
+        known = LinearModelParams(np.asarray(TABLE2_ALPHA), ("c1", "c2", "y"))
+        return fit_wee(d, known_alpha=known, covariance=False)
+
+    def wee_estimate(m, fitted):
+        if m == "wee-or":
+            return tau_wee_or(d, fitted)
+        if m == "wee-ipw":
+            return tau_wee_ipw(d, fitted)
+        return tau_wee_dr(d, fitted)
+
+    opts = replace(mi_opts, seed=est_seeds[1])
+    each([m for m in methods if m.startswith("wee-")], wee_fit, wee_estimate)
+    each([m for m in methods if m.startswith("cc-")], lambda: None,
+         lambda m, _: tau_cc(d, m[3:]))
+    each([m for m in methods if m.startswith("mi-")],
+         lambda: impute_pmm(d, opts),
+         lambda m, completed: tau_mi(d, m[3:], opts, completed=completed))
     return out
 
 
@@ -419,6 +424,8 @@ def example1_observed_density(p: Example1Params, a: float, c1, y: float,
         return _example1_joint(p, a, c1, y) * float(expit(p.alpha1 * c1))
     if c1 is not None:
         raise BadConfig("missing branch must not receive a confounder value")
+
+    from scipy.integrate import quad
 
     def integrand(c):
         return _example1_joint(p, a, c, y) * float(1.0 - expit(p.alpha1 * c))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, Observation, Schema
 from .errors import (
@@ -43,6 +42,7 @@ from .glm import (
     ModelSpec,
     _row_vector,
     design_matrix,
+    expit,
     fit_model,
 )
 from .solver import EquationSystem, SolveOptions, solve_root
@@ -491,17 +491,6 @@ class FittedModels:
                 f"weight {w.max():.3g} beyond cap {self.weight_cap:.3g}"
             )
         return w
-
-    def outcome_mean(self, d: Dataset, a_value: float) -> np.ndarray:
-        """Model mean with the treatment column forced to a_value. On rows
-        missing the designated confounder the value is a placeholder; every
-        consumer multiplies by a weight that is exactly zero there."""
-        Xb = design_matrix(d, self.model_spec.outcome_covariates)
-        Xb = Xb.copy()
-        j = 1 + self.model_spec.outcome_covariates.index(TREATMENT)
-        Xb[:, j] = a_value
-        lp = Xb @ self.beta.coefficients
-        return expit(lp) if self.model_spec.outcome_family == BERNOULLI else lp
 
     def block_cov(self, name: str) -> np.ndarray:
         s = self.blocks[name]

@@ -27,6 +27,7 @@ from mnarcause import (
     generate_table2,
     impute_pmm,
     numeric_jacobian,
+    resample,
     rubin_combine,
     sandwich_covariance,
     tau_cc,
@@ -413,6 +414,15 @@ class TestTauMi:
         est = tau_mi(d, "aipw", MiOptions(m=4, k=3, seed=2))
         assert np.isfinite(est.tau) and est.se > 0.0
 
+    @pytest.mark.parametrize("with_se", [True, False])
+    def test_shared_imputations_equal_separate_calls(self, with_se):
+        d = mnar_dataset(n=150, seed=18)
+        opts = MiOptions(m=4, k=3, seed=2)
+        completed = impute_pmm(d, opts)
+        for method in ("or", "ipw", "aipw"):
+            shared = tau_mi(d, method, opts, with_se=with_se, completed=completed)
+            assert shared == tau_mi(d, method, opts, with_se=with_se)
+
 
 class TestBootstrap:
     def estimator(self):
@@ -457,6 +467,62 @@ class TestBootstrap:
 
         with pytest.raises(TooManyFailures):
             bootstrap_ci(broken, d, B=20, seed=4)
+
+    def test_vector_equals_scalar_calls(self):
+        # np.std along axis 0 of the (B, K) matrix sums in another order and
+        # differs in the last bit for most such matrices
+        d = mnar_dataset(n=80, seed=24)
+        parts = (lambda b: float(b.y.mean()),
+                 lambda b: float(np.median(b.y)),
+                 lambda b: float(b.a.mean() - 0.3 * b.y.std()))
+        res = bootstrap_ci(lambda b: [f(b) for f in parts], d, B=300, seed=6)
+        assert res.estimates.shape == (300, 3) and res.failures == 0
+        for k, f in enumerate(parts):
+            one = bootstrap_ci(f, d, B=300, seed=6)
+            assert res.component(k).se == one.se
+            assert res.component(k).ci == one.ci
+            assert np.array_equal(res.component(k).estimates, one.estimates)
+            assert res.se[k] == one.se
+            assert (res.ci[0][k], res.ci[1][k]) == one.ci
+
+    def test_vector_failure_leaves_resample_out_of_every_component(self):
+        # the second component fails on resamples whose outcome mean is
+        # high; the first component never fails alone, yet those resamples
+        # are missing from its column too
+        d = mnar_dataset(n=80, seed=25)
+        means = [float(resample(d, np.random.SeedSequence((8, b))).y.mean())
+                 for b in range(40)]
+        cut = sorted(means)[-3]  # three resamples fail
+
+        def second(boot):
+            if boot.y.mean() >= cut:
+                raise ExtremeWeight("synthetic failure")
+            return float(np.median(boot.y))
+
+        res = bootstrap_ci(lambda b: [float(b.y.mean()), second(b)], d, B=40,
+                           seed=8)
+        assert res.failures == 3 and isinstance(res.failures, int)
+        kept = [m for m in means if m < cut]
+        assert res.estimates[:, 0].tolist() == kept
+        alone = bootstrap_ci(lambda b: float(b.y.mean()), d, B=40, seed=8)
+        assert alone.failures == 0 and len(alone.estimates) == 40
+        # the scalar estimator that fails on the same resamples agrees
+        joint = bootstrap_ci(lambda b: (second(b), float(b.y.mean()))[1], d,
+                             B=40, seed=8)
+        assert res.component(0).se == joint.se and res.component(0).ci == joint.ci
+
+    def test_vector_failures_count_toward_ceiling(self):
+        d = mnar_dataset(n=80, seed=26)
+        calls = {"i": 0}
+
+        def flaky(boot):
+            calls["i"] += 1
+            if calls["i"] % 4 == 0:
+                raise RankDeficient("synthetic failure")
+            return float(boot.y.mean())
+
+        with pytest.raises(TooManyFailures):
+            bootstrap_ci(lambda b: [float(b.a.mean()), flaky(b)], d, B=20, seed=9)
 
     def test_non_package_errors_propagate(self):
         d = complete_dataset(n=60, seed=23)

@@ -1,5 +1,7 @@
 """Model families: linear predictors, links, scores, weighted fits."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,23 @@ class TestExpit:
         x = np.logspace(-8, np.log10(700.0), 60)
         total = expit(x) + expit(-x)
         assert np.max(np.abs(total - 1.0)) < 1e-15
+
+    def test_matches_scipy(self):
+        # the package computes expit with numpy alone; scipy's ufunc is the
+        # reference, across the points where exp overflows (709.78) and
+        # underflows to zero (745.13)
+        from scipy.special import expit as reference
+
+        edges = [709.0, 709.78, 709.79, 745.0, 745.2, 800.0, np.inf]
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200_001), edges,
+                            [-e for e in edges], [0.0, -0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(x)
+        want = reference(x)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        nz = want != 0.0
+        assert np.max(np.abs(got[nz] - want[nz]) / want[nz]) <= 1e-15
 
 
 def one_row_dataset(c1=0.0, c2=0.0, a=1.0, y=1.0, r=1):

@@ -6,9 +6,17 @@ to 1e-12 and every mean SE to 1e-6 relative, the agreement expected of a
 closed-form bread.
 """
 
+import numpy as np
 import pytest
 
-from mnarcause import ScenarioConfig, run_monte_carlo
+from mnarcause import (
+    MiOptions,
+    ScenarioConfig,
+    generate_table2,
+    run_monte_carlo,
+    simlab,
+    tau_mi,
+)
 from mnarcause.simlab import TABLE2_ALL_METHODS
 
 # scenario -> method -> (estimates of replications 0, 1, 2, mean_se,
@@ -111,3 +119,29 @@ def test_table2_scenario_pinned(scenario):
         assert tm.mean_se == pytest.approx(mean_se, rel=1e-6), tm.method
         assert tm.coverage == coverage, tm.method
         assert (tm.successes, tm.failures) == (3 - failures, failures)
+
+
+def test_mi_methods_share_one_imputation(monkeypatch):
+    """One imputation per replication serves mi-or, mi-ipw and mi-aipw; each
+    estimate equals tau_mi of that method alone on the replication's data and
+    imputation seed."""
+    calls = []
+    original = simlab.impute_pmm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simlab, "impute_pmm", counting)
+    methods = ("mi-or", "mi-ipw", "mi-aipw")
+    config = ScenarioConfig("ompc", n=300, replications=2, seed=11,
+                            estimators=methods, mi_m=3)
+    report = run_monte_carlo(config)
+    assert len(calls) == 2
+    raw = {(m, i): e for m, i, e in report.raw}
+    for i in range(2):
+        data_seed, est_seed = np.random.SeedSequence((11, i)).spawn(2)
+        d, _ = generate_table2("ompc", 300, data_seed)
+        opts = MiOptions(m=3, k=5, seed=est_seed.spawn(2)[1])
+        for m in methods:
+            assert raw[(m, i)] == tau_mi(d, m[3:], opts).tau
