@@ -33,7 +33,6 @@ from .errors import (
     MnarError,
     NoConvergence,
     NonFiniteEvaluation,
-    OverlapFailure,
     QuadratureFailure,
     RankDeficient,
     SchemaMismatch,
@@ -53,7 +52,6 @@ from .estimators import (
     rubin_combine,
     tau_cc,
     tau_mi,
-    tau_sandwich_se,
     tau_wee_dr,
     tau_wee_ipw,
     tau_wee_or,

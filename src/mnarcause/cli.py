@@ -312,8 +312,9 @@ def _boot_groups(methods, model_spec, gspec, mi_opts) -> list:
 
 
 def _raw_path(out: str) -> str:
-    root, ext = os.path.splitext(out)
-    return f"{root}_raw{ext or '.csv'}"
+    """The per-replication file next to the report; emit_raw writes CSV
+    whatever the report's format."""
+    return f"{os.path.splitext(out)[0]}_raw.csv"
 
 
 def cmd_simulate(args) -> int:

@@ -123,6 +123,10 @@ class Dataset:
         return Dataset(self.a[idx], self.y[idx], self.c[idx], self.schema)
 
     def complete_cases(self) -> "Dataset":
+        """The rows with the designated confounder present; the dataset
+        itself when none is missing (its arrays are read-only)."""
+        if self.r.all():
+            return self
         return self.subset(self.r == 1)
 
 

@@ -100,10 +100,6 @@ class ExtremeWeight(MnarError):
     exit_code = 4
 
 
-class OverlapFailure(MnarError):
-    exit_code = 4
-
-
 # equivalence check (exit 5)
 
 class EquivalenceViolated(MnarError):

@@ -7,7 +7,9 @@ estimators with M forced to 1 on the complete cases, which gives the
 textbook unweighted formulas; multiple imputation applies them to each
 completed dataset. Every sandwich standard error comes from one stacked
 system, the fit's equations plus a tau row, with its closed-form Jacobian
-as the bread; bootstrap intervals are provided for all estimators.
+as the bread. OR reads no propensity model, so its system has no
+propensity block and the complete-case OR fits none. Bootstrap intervals
+are provided for all estimators.
 """
 
 from __future__ import annotations
@@ -87,10 +89,12 @@ def _estimate(d: Dataset, stack: WeeStack, alpha, gamma, beta, cap: float,
     w = dz.weights(None if alpha is None else alpha.coefficients)
     if w.max() > cap:
         raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {cap:.3g}")
+    gamma_coef = None
     if stack.effect in ("ipw", "dr"):
-        _check_propensity_cap(d, expit(dz.Xg @ gamma.coefficients), cap)
+        gamma_coef = gamma.coefficients
+        _check_propensity_cap(d, expit(dz.Xg @ gamma_coef), cap)
     y1, y0 = (float(s.mean()) for s in effect_summands(
-        stack.effect, dz, w, gamma.coefficients, beta.coefficients,
+        stack.effect, dz, w, gamma_coef, beta.coefficients,
         y0_sign=stack.y0_sign))
     est = AteEstimate(tau=y1 - y0, method=method, y1=y1, y0=y0,
                       notes=_overlap_notes(d))
@@ -110,12 +114,6 @@ def _wee_estimate(d: Dataset, fitted: FittedModels, which: str, with_se: bool,
                      effect=which, y0_sign=y0_sign)
     return _estimate(d, stack, fitted.alpha, fitted.gamma, fitted.beta,
                      fitted.weight_cap, f"wee-{which}", with_se)
-
-
-def tau_sandwich_se(d: Dataset, fitted: FittedModels, which: str,
-                    y0_sign: float = 1.0) -> float:
-    """Stacked-sandwich standard error of one weighted estimator."""
-    return _wee_estimate(d, fitted, which, True, y0_sign).se
 
 
 def tau_wee_or(d: Dataset, fitted: FittedModels, with_se: bool = True) -> AteEstimate:
@@ -145,9 +143,14 @@ def tau_wee_dr(d: Dataset, fitted: FittedModels, with_se: bool = True,
 _CC_EFFECTS = {"or": "or", "ipw": "ipw", "aipw": "dr"}
 
 
-def _cc_fits(cc: Dataset, model_spec: ModelSpec):
+def _cc_fits(cc: Dataset, model_spec: ModelSpec, propensity: bool = True):
+    """Unweighted propensity and outcome fits on the complete cases; without
+    propensity, gamma is None (OR reads the outcome model only)."""
     ones = np.ones(cc.n)
-    gamma = fit_model(cc, model_spec.propensity_covariates, TREATMENT, ones, BERNOULLI)
+    gamma = None
+    if propensity:
+        gamma = fit_model(cc, model_spec.propensity_covariates, TREATMENT, ones,
+                          BERNOULLI)
     beta = fit_model(cc, model_spec.outcome_covariates, OUTCOME, ones,
                      model_spec.outcome_family)
     return gamma, beta
@@ -162,7 +165,7 @@ def tau_cc(d: Dataset, method: str, model_spec: ModelSpec = None,
         raise BadConfig(f"unknown method {method!r}")
     model_spec = model_spec or ModelSpec.default_for(d.schema)
     cc = d.complete_cases()
-    gamma, beta = _cc_fits(cc, model_spec)
+    gamma, beta = _cc_fits(cc, model_spec, propensity=method != "or")
     stack = WeeStack(model_spec, cc.schema, None, estimate_alpha=False,
                      effect=_CC_EFFECTS[method])
     return _estimate(cc, stack, None, gamma, beta, cap, f"cc-{method}", with_se)

@@ -5,7 +5,9 @@ A^{-1} B A^{-T} sandwich covariance (Stefanski & Boos 2002).
 A system may carry the closed-form Jacobian of its averaged equations;
 the solver and the sandwich use it when present. Systems without one fall
 back to the central-difference numeric_jacobian, which is also the oracle
-the closed forms are tested against.
+the closed forms are tested against. A system that builds its values and
+its Jacobian from shared pieces may also give both from one call, which
+the sandwich then makes once.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ class EquationSystem:
     """psi maps (theta, dataset) to an (n, p) matrix of per-row equation
     values; blocks name contiguous slices of theta in dependency order.
     jacobian, when given, maps (theta, dataset) to the (p, p) Jacobian of
-    the averaged equations, d mean(psi) / d theta."""
+    the averaged equations, d mean(psi) / d theta. psi_and_jacobian, when
+    given, maps (theta, dataset) to the pair (psi, jacobian) at one point."""
 
     psi: callable
     dim: int
     blocks: dict = field(default_factory=dict)
     jacobian: callable = None
+    psi_and_jacobian: callable = None
 
     def block_slice(self, name: str) -> slice:
         return self.blocks[name]
@@ -80,7 +84,11 @@ def jacobian(sys: EquationSystem, theta: np.ndarray, d: Dataset,
     """The system's closed-form Jacobian, or the numeric one without it."""
     if sys.jacobian is None:
         return numeric_jacobian(sys, theta, d, step=step)
-    J = np.asarray(sys.jacobian(np.asarray(theta, dtype=float), d), dtype=float)
+    return _finite_jacobian(sys.jacobian(np.asarray(theta, dtype=float), d))
+
+
+def _finite_jacobian(J) -> np.ndarray:
+    J = np.asarray(J, dtype=float)
     if not np.isfinite(J).all():
         raise NonFiniteEvaluation("Jacobian non-finite")
     return J
@@ -153,10 +161,15 @@ def sandwich_covariance(sys: EquationSystem, theta_hat: np.ndarray, d: Dataset,
     and B the average outer product of per-row equation values. step is
     the numeric-Jacobian step, used only by systems without a Jacobian."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    A = jacobian(sys, theta_hat, d, step=step)
+    if sys.psi_and_jacobian is None:
+        A = jacobian(sys, theta_hat, d, step=step)
+        vals = sys.psi(theta_hat, d)
+    else:
+        vals, A = sys.psi_and_jacobian(theta_hat, d)
+        A = _finite_jacobian(A)
     if np.linalg.cond(A) > COND_LIMIT:
         raise SingularJacobian("sandwich bread is numerically singular")
-    vals = np.asarray(sys.psi(theta_hat, d))
+    vals = np.asarray(vals)
     B = vals.T @ vals / d.n
     Ainv = np.linalg.inv(A)
     return Ainv @ B @ Ainv.T / d.n

@@ -251,7 +251,8 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
     zero on rows missing the designated confounder. Written so no division
     happens on rows where the divisor is irrelevant (treated rows never
     divide by 1-H and so on). With jacobian set, also returns the
-    derivatives of mean(s1 - s0) with respect to gamma and beta at fixed w.
+    derivatives of mean(s1 - s0) with respect to gamma and beta at fixed w;
+    OR reads no gamma, so its gamma derivative is None.
     """
     mask = dz.complete
     j = dz.treatment_column
@@ -280,7 +281,7 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
         s1, s0 = w * O1, w * O0
         if not jacobian:
             return s1, s0
-        return s1, s0, np.zeros(dz.Xg.shape[1]), beta_gradient(w * dO1, w * dO0)
+        return s1, s0, None, beta_gradient(w * dO1, w * dO0)
 
     H = expit(dz.Xg @ gamma_coef)
     treated = dz.d.a == 1
@@ -331,6 +332,11 @@ class WeeStack:
     given]. The tau row is summand minus tau, so the sandwich propagates
     every estimated block's uncertainty into the effect.
 
+    The OR stack has no gamma block. No beta, phi or tau row reads gamma,
+    so the bread is block-triangular with gamma on its own, the tau row of
+    its inverse has zero gamma entries, and dropping the block leaves the
+    tau variance unchanged (Stefanski & Boos 2002).
+
     With alpha known or M forced to 1 (known_alpha_coef None, no alpha
     block) the weights are constants; a complete-case analysis is this
     stack with M forced to 1 on the complete cases.
@@ -347,7 +353,7 @@ class WeeStack:
         self.effect = effect
         self.y0_sign = y0_sign
         self.p_alpha = (1 + len(model_spec.missing_covariates)) if estimate_alpha else 0
-        self.p_gamma = 1 + len(model_spec.propensity_covariates)
+        self.p_gamma = 0 if effect == "or" else 1 + len(model_spec.propensity_covariates)
         self.p_beta = 1 + len(model_spec.outcome_covariates)
         self.gaussian = model_spec.outcome_family == GAUSSIAN
         self.dim = (self.p_alpha + self.p_gamma + self.p_beta
@@ -357,8 +363,9 @@ class WeeStack:
         if estimate_alpha:
             blocks["alpha"] = slice(0, self.p_alpha)
             at = self.p_alpha
-        blocks["gamma"] = slice(at, at + self.p_gamma)
-        at += self.p_gamma
+        if self.p_gamma:
+            blocks["gamma"] = slice(at, at + self.p_gamma)
+            at += self.p_gamma
         end = at + self.p_beta + (1 if self.gaussian else 0)
         blocks["beta"] = slice(at, end)
         if effect:
@@ -372,12 +379,14 @@ class WeeStack:
             self._design = Design(d, self.model_spec, self.gspec)
         return self._design
 
-    def pack(self, alpha: LinearModelParams, gamma: LinearModelParams,
+    def pack(self, alpha: LinearModelParams, gamma: LinearModelParams | None,
              beta: LinearModelParams, tau: float = None) -> np.ndarray:
+        """theta in block order; gamma is not read without a gamma block."""
         parts = []
         if self.estimate_alpha:
             parts.append(alpha.coefficients)
-        parts.append(gamma.coefficients)
+        if self.p_gamma:
+            parts.append(gamma.coefficients)
         parts.append(beta.coefficients)
         if self.gaussian:
             parts.append([beta.phi])
@@ -398,9 +407,9 @@ class WeeStack:
         dz = self.design(d)
         n = d.n
         b = self.blocks
-        gsl = b["gamma"]
+        gsl = b.get("gamma")
         bsl = slice(b["beta"].start, b["beta"].start + self.p_beta)
-        gamma_coef = theta[gsl]
+        gamma_coef = None if gsl is None else theta[gsl]
         beta_coef = theta[bsl]
         if self.estimate_alpha:
             lp_m, em = dz.tilt(theta[b["alpha"]])
@@ -416,8 +425,9 @@ class WeeStack:
         vals = np.empty((n, self.dim))
         if self.estimate_alpha:
             vals[:, b["alpha"]] = _moments(dz, em)
-        H = expit(dz.Xg @ gamma_coef)
-        vals[:, gsl] = (w * (d.a - H))[:, None] * dz.Xg
+        if gsl is not None:
+            H = expit(dz.Xg @ gamma_coef)
+            vals[:, gsl] = (w * (d.a - H))[:, None] * dz.Xg
         lp = dz.Xb @ beta_coef
         mean = lp if self.gaussian else expit(lp)
         vals[:, bsl] = (w * (d.y - mean))[:, None] * dz.Xb
@@ -429,14 +439,18 @@ class WeeStack:
             return vals, None
 
         J = np.zeros((self.dim, self.dim))
-        J[gsl, gsl] = -(dz.Xg * (w * H * (1.0 - H))[:, None]).T @ dz.Xg / n
+        if gsl is not None:
+            J[gsl, gsl] = -(dz.Xg * (w * H * (1.0 - H))[:, None]).T @ dz.Xg / n
         slope = w if self.gaussian else w * mean * (1.0 - mean)
         J[bsl, bsl] = -(dz.Xb * slope[:, None]).T @ dz.Xb / n
         if self.gaussian:
             J[bsl.stop, bsl] = -2.0 * (w * (d.y - lp)) @ dz.Xb / n
             J[bsl.stop, bsl.stop] = -w.sum() / n
         if self.effect:
-            J[-1, gsl], J[-1, bsl] = effect_gradient
+            gamma_gradient, beta_gradient = effect_gradient
+            J[-1, bsl] = beta_gradient
+            if gsl is not None:
+                J[-1, gsl] = gamma_gradient
             J[-1, -1] = -1.0
         if self.estimate_alpha:
             asl = b["alpha"]
@@ -450,8 +464,10 @@ class WeeStack:
         return vals, J
 
     def system(self) -> EquationSystem:
-        return EquationSystem(psi=self.psi, dim=self.dim, blocks=self.blocks,
-                              jacobian=self.jacobian)
+        return EquationSystem(
+            psi=self.psi, dim=self.dim, blocks=self.blocks,
+            jacobian=self.jacobian,
+            psi_and_jacobian=lambda theta, d: self.evaluate(theta, d, jacobian=True))
 
     def moment_system(self) -> EquationSystem:
         """Stage one alone: the alpha block, which involves no other block."""

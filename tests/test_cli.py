@@ -333,6 +333,22 @@ class TestSimulateReports:
             assert np.mean(ests) - 3.0 == pytest.approx(
                 float(metrics[method][4]), abs=1e-12)
 
+    def test_json_report_keeps_a_csv_raw_file(self, tmp_path):
+        """The raw file is CSV whatever the report's format, and its name
+        says so."""
+        out = tmp_path / "study.json"
+        code = main(["simulate", "--scenario", "ocpc", "--n", "60", "--reps",
+                     "1", "--estimators", "cc-or", "--seed", "4",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["scenario"] == "ocpc"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "study.json", "study_raw.csv"]
+        rows = list(csv.reader(io.StringIO(
+            (tmp_path / "study_raw.csv").read_text())))
+        assert rows[0] == ["scenario", "method", "replication", "estimate"]
+        assert [r[:3] for r in rows[1:]] == [["ocpc", "cc-or", "0"]]
+
 
 def test_import_loads_no_scipy():
     """scipy is needed only to generate synthetic data and for Example 1;

@@ -151,6 +151,16 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             d.a[0] = 0.0
 
+    def test_complete_cases_without_missing_is_the_dataset(self):
+        d = small_dataset()
+        assert d.complete_cases() is d
+
+    def test_complete_cases_drops_missing_rows(self):
+        cc = small_dataset(r_pattern=(1, 0, 1)).complete_cases()
+        assert cc.n == 2 and cc.r.all()
+        assert cc.y.tolist() == [2.0, -1.0]
+        assert cc.c[:, 0].tolist() == [0.5, 2.0]
+
 
 class TestMissingnessSummary:
     def test_no_missing(self):

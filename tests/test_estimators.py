@@ -1,6 +1,10 @@
 """Treatment-effect estimators: weighted, complete-case, multiple
 imputation, bootstrap, and the stacked-sandwich standard error with its
-closed-form Jacobian."""
+closed-form Jacobian; the OR stack without a propensity block against the
+full-stack oracle."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from mnarcause import (
     ModelSpec,
     RankDeficient,
     Schema,
+    Separation,
     TooFewDonors,
     TooManyFailures,
     bootstrap_ci,
@@ -32,13 +37,14 @@ from mnarcause import (
     sandwich_covariance,
     tau_cc,
     tau_mi,
-    tau_sandwich_se,
     tau_wee_dr,
     tau_wee_ipw,
     tau_wee_or,
 )
+from mnarcause import estimators
 from mnarcause.estimators import _nearest_donors
 from mnarcause.glm import expit
+from mnarcause.simlab import TABLE2_ALPHA
 from mnarcause.wee import FitDiagnostics
 
 SCHEMA1 = Schema("a", "y", ("c1",), "c1")
@@ -202,7 +208,7 @@ class TestSandwichSe:
         y = 0.3 + 1.2 * a - 0.5 * c1 + rng.normal(0.0, 1.0, n)
         d = Dataset(a=a, y=y, c=c1[:, None], schema=SCHEMA1)
         fitted = fit_wee(d, unit_missing_model=True, covariance=False)
-        se = tau_sandwich_se(d, fitted, "or")
+        se = tau_wee_or(d, fitted).se
         assert se == pytest.approx(0.33687086314338849, abs=1e-6)
 
 
@@ -616,3 +622,158 @@ class TestEffectRowJacobian:
                 EquationSystem(psi=stack.psi, dim=stack.dim), theta_hat, d)
             np.testing.assert_allclose(np.sqrt(np.diag(closed)),
                                        np.sqrt(np.diag(numeric)), rtol=1e-6)
+
+
+def full_stack_oracle():
+    path = Path(__file__).parent / "oracles" / "oracle_or_full_stack.py"
+    spec = importlib.util.spec_from_file_location("oracle_or_full_stack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.or_tau_se
+
+
+def separated_dataset():
+    """c1 separates the treatment among complete cases (two of them within
+    1e-3 of the boundary, so the logistic coefficients pass 1e4); the rows
+    missing c1 are not separated."""
+    rng = np.random.default_rng(5)
+    c1 = rng.normal(0.0, 1.0, 60)
+    c1[:2] = [1e-3, -1e-3]
+    a = (c1 > 0).astype(float)
+    y = 1.0 + 2.0 * a + 0.5 * c1 + rng.normal(0.0, 1.0, 60)
+    c1[3::4] = np.nan
+    a[3::8] = 1.0 - a[3::8]
+    return Dataset(a=a, y=y, c=c1[:, None], schema=SCHEMA1)
+
+
+class TestOrWithoutPropensity:
+    """OR reads the outcome model only. Its stack has no gamma block and
+    tau_cc("or") fits no propensity model; the SE still equals the one of
+    the full alpha | gamma | beta | phi | tau stack."""
+
+    def wee_fixtures(self):
+        cont, cont_truth = generate_table1("continuous", 600, seed=50)
+        binary, binary_truth = generate_table1("binary", 600, seed=51)
+        table2, _ = generate_table2("ompm", 600, seed=52)
+
+        def known(coef, covariates):
+            return LinearModelParams(np.asarray(coef), covariates)
+
+        return [
+            (cont, fit_wee(cont, covariance=False), True),
+            (binary, fit_wee(binary, covariance=False), True),
+            (cont, fit_wee(cont, known_alpha=known(cont_truth.alpha, ("c1", "y")),
+                           covariance=False), False),
+            (binary, fit_wee(binary, known_alpha=known(binary_truth.alpha,
+                                                       ("c1", "y")),
+                             covariance=False), False),
+            (table2, fit_wee(table2, known_alpha=known(TABLE2_ALPHA,
+                                                       ("c1", "c2", "y")),
+                             covariance=False), False),
+        ]
+
+    def test_wee_or_matches_full_stack_oracle(self):
+        or_tau_se = full_stack_oracle()
+        for d, fitted, estimate_alpha in self.wee_fixtures():
+            est = tau_wee_or(d, fitted)
+            tau, se = or_tau_se(d.a, d.y, d.c, d.schema.missing_index,
+                                d.schema.outcome_family == "gaussian",
+                                fitted.alpha.coefficients,
+                                fitted.gamma.coefficients,
+                                fitted.beta.coefficients, fitted.beta.phi,
+                                estimate_alpha=estimate_alpha)
+            assert est.tau == pytest.approx(tau, rel=1e-10)
+            assert est.se == pytest.approx(se, rel=1e-8)
+
+    @pytest.mark.parametrize("kind,seed", [("continuous", 53), ("binary", 54)])
+    def test_cc_or_matches_full_stack_oracle(self, kind, seed):
+        d, _ = generate_table1(kind, 600, seed=seed)
+        est = tau_cc(d, "or")
+        gamma, _, beta, _ = cc_parameter_fit(d)
+        cc = d.complete_cases()
+        tau, se = full_stack_oracle()(
+            cc.a, cc.y, cc.c, cc.schema.missing_index, kind == "continuous",
+            None, gamma.coefficients, beta.coefficients, beta.phi)
+        assert est.tau == pytest.approx(tau, rel=1e-10)
+        assert est.se == pytest.approx(se, rel=1e-8)
+
+    def test_stack_has_no_gamma_block(self):
+        spec = ModelSpec.default_for(SCHEMA1)
+        blocks = {which: WeeStack(spec, SCHEMA1, None, estimate_alpha=False,
+                                  effect=which).blocks
+                  for which in ("or", "ipw", "dr")}
+        assert list(blocks["or"]) == ["beta", "tau"]
+        assert list(blocks["ipw"]) == list(blocks["dr"]) == ["gamma", "beta", "tau"]
+        assert WeeStack(spec, SCHEMA1, None, False, effect="or").dim == 5
+
+    def test_cc_or_fits_the_outcome_model_only(self, monkeypatch):
+        calls = []
+        original = estimators.fit_model
+
+        def counting(d, covariates, target, *args):
+            calls.append(target)
+            return original(d, covariates, target, *args)
+
+        monkeypatch.setattr(estimators, "fit_model", counting)
+        d, _ = generate_table1("continuous", 300, seed=55)
+        tau_cc(d, "or")
+        assert calls == ["y"]
+        for method in ("ipw", "aipw"):
+            calls.clear()
+            tau_cc(d, method)
+            assert calls == ["a", "y"]
+
+    def test_separation_fails_ipw_but_not_or(self):
+        d = separated_dataset()
+        for method in ("ipw", "aipw"):
+            with pytest.raises(Separation):
+                tau_cc(d, method)
+        est = tau_cc(d, "or")
+        cc = d.complete_cases()
+        X = np.column_stack([np.ones(cc.n), cc.a, cc.confounder("c1")])
+        ols = np.linalg.lstsq(X, cc.y, rcond=None)[0]
+        assert est.tau == pytest.approx(ols[1], rel=1e-10)
+        assert np.isfinite(est.se) and est.se > 0.0
+
+
+class TestSandwichEvaluatesOnce:
+    """A sandwich on a WeeStack takes the per-row values and the bread
+    from one evaluation of the stack."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        original = WeeStack.evaluate
+
+        def counting(self, theta, d, jacobian=False):
+            calls.append(jacobian)
+            return original(self, theta, d, jacobian=jacobian)
+
+        monkeypatch.setattr(WeeStack, "evaluate", counting)
+        return calls
+
+    def test_estimators(self, evaluations):
+        d, _ = generate_table1("continuous", 600, seed=50)
+        fitted = fit_wee(d, covariance=False)
+        for fn in (tau_wee_or, tau_wee_ipw, tau_wee_dr):
+            evaluations.clear()
+            fn(d, fitted)
+            assert evaluations == [True], fn.__name__
+        for method in ("or", "ipw", "aipw"):
+            evaluations.clear()
+            tau_cc(d, method)
+            assert evaluations == [True], method
+
+    def test_every_stack(self, evaluations):
+        d, truth = generate_table1("continuous", 600, seed=50)
+        known = LinearModelParams(np.asarray(truth.alpha), ("c1", "y"))
+        for fitted in (fit_wee(d, covariance=False),
+                       fit_wee(d, known_alpha=known, covariance=False),
+                       fit_wee(d, unit_missing_model=True, covariance=False)):
+            for which in (None, "or", "ipw", "dr"):
+                stack = effect_stack(fitted, which)
+                theta = stack.pack(fitted.alpha, fitted.gamma, fitted.beta,
+                                   tau=None if which is None else 0.5)
+                evaluations.clear()
+                sandwich_covariance(stack.system(), theta, d)
+                assert evaluations == [True], which
