@@ -11,7 +11,6 @@ effect estimators with joint sandwich standard errors.
 from .data import (
     Dataset,
     MissingnessSummary,
-    Observation,
     Schema,
     emit_csv,
     load_csv,
@@ -28,7 +27,6 @@ from .errors import (
     EmptyData,
     EquivalenceViolated,
     ExtremeWeight,
-    MissingCovariate,
     MissingnessDegenerate,
     MnarError,
     NoConvergence,

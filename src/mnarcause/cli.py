@@ -234,7 +234,8 @@ def cmd_fit(args) -> int:
     for m in methods:
         if m not in FIT_METHODS:
             raise BadConfig(f"unknown estimator {m!r}")
-    mi_opts = MiOptions(m=args.mi_m or 10, k=args.mi_k or 5, seed=args.seed)
+    mi_opts = MiOptions(m=10 if args.mi_m is None else args.mi_m,
+                        k=5 if args.mi_k is None else args.mi_k, seed=args.seed)
 
     fitted = fit_wee(d, model_spec, gspec, restart_seed=args.seed)
     shared = {"wee": fitted}

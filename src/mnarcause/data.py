@@ -1,5 +1,5 @@
-"""Observation data model: CSV ingestion/emission, missingness bookkeeping,
-and bootstrap resampling.
+"""Dataset model: CSV ingestion/emission, missingness bookkeeping, and
+bootstrap resampling.
 
 A Dataset holds treatment a, outcome y, a confounder matrix c whose single
 designated column may contain missing cells, and the derived indicator r
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +45,6 @@ class Schema:
     @property
     def missing_index(self) -> int:
         return self.confounders.index(self.missing)
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One row; c is aligned to schema.confounders, the designated entry is
-    None when absent (then r=0)."""
-
-    a: float
-    y: float
-    c: tuple
-    r: int
 
 
 @dataclass(frozen=True)
@@ -106,16 +96,6 @@ class Dataset:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def row(self, i: int) -> Observation:
-        vals = tuple(
-            None if (j == self.schema.missing_index and self.r[i] == 0) else self.c[i, j]
-            for j in range(self.c.shape[1])
-        )
-        return Observation(a=self.a[i], y=self.y[i], c=vals, r=int(self.r[i]))
-
-    def rows(self):
-        return (self.row(i) for i in range(self.n))
-
     def confounder(self, name: str) -> np.ndarray:
         return self.c[:, self.schema.confounders.index(name)]
 
@@ -134,7 +114,7 @@ def load_csv(source, schema: Schema) -> Dataset:
     """Parse a UTF-8 CSV with a header row under the given column roles.
 
     An empty cell or the literal "NA" in the designated missing column sets
-    r=0; such cells anywhere else raise BadValue.
+    r=0; such cells elsewhere, and non-finite numbers anywhere, raise BadValue.
     """
     if isinstance(source, (str, bytes)):
         text = source.decode("utf-8") if isinstance(source, bytes) else source
@@ -162,9 +142,12 @@ def load_csv(source, schema: Schema) -> Dataset:
                 return np.nan
             raise BadValue(f"missing value in column {name!r} at data row {line}")
         try:
-            return float(cell)
+            value = float(cell)
         except ValueError:
             raise BadValue(f"non-numeric cell {cell!r} in column {name!r} at data row {line}")
+        if not math.isfinite(value):
+            raise BadValue(f"non-finite cell {cell!r} in column {name!r} at data row {line}")
+        return value
 
     n = len(body)
     a = np.empty(n)

@@ -44,10 +44,6 @@ class EmptyData(DataError):
     pass
 
 
-class MissingCovariate(DataError):
-    pass
-
-
 class RankDeficient(DataError):
     pass
 

@@ -1,19 +1,18 @@
 """Parametric model families used throughout: logistic models for the
 missing-probability and treatment-propensity components, and a Gaussian
-linear or logistic model for the outcome. Provides linear predictors,
-scores, and weighted fits via damped Newton.
+linear or logistic model for the outcome. Provides design matrices and
+weighted fits (one weighted least-squares step, or damped Newton).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Observation, Schema
+from .data import Dataset, Schema
 from .errors import (
     DimensionMismatch,
-    MissingCovariate,
     NoConvergence,
     RankDeficient,
     SchemaMismatch,
@@ -112,47 +111,6 @@ def design_matrix(d: Dataset, covariates: tuple[str, ...]) -> np.ndarray:
         else:
             raise SchemaMismatch(f"unknown covariate {name!r}")
     return np.column_stack(cols)
-
-
-def _row_vector(row: Observation, covariates: tuple[str, ...], schema: Schema) -> np.ndarray:
-    vals = [1.0]
-    for name in covariates:
-        if name == TREATMENT:
-            vals.append(row.a)
-        elif name == OUTCOME:
-            vals.append(row.y)
-        else:
-            v = row.c[schema.confounders.index(name)]
-            if v is None:
-                raise MissingCovariate(f"covariate {name!r} absent in row")
-            vals.append(v)
-    return np.asarray(vals)
-
-
-def linear_predictor(params: LinearModelParams, row: Observation, schema: Schema) -> float:
-    """Intercept plus the coefficient-weighted covariate values of one row."""
-    return float(_row_vector(row, params.covariates, schema) @ params.coefficients)
-
-
-def model_probability(params: LinearModelParams, row: Observation, schema: Schema) -> float:
-    return float(expit(linear_predictor(params, row, schema)))
-
-
-def score(family: str, params: LinearModelParams, row: Observation, schema: Schema,
-          observed: float) -> np.ndarray:
-    """Per-row log-likelihood score. The Gaussian form drops the 1/phi
-    factor, which rescales but never moves the root."""
-    x = _row_vector(row, params.covariates, schema)
-    lp = float(x @ params.coefficients)
-    mean = expit(lp) if family == BERNOULLI else lp
-    return (observed - mean) * x
-
-
-def score_matrix(family: str, coef: np.ndarray, X: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """Vectorized scores, one row per observation."""
-    lp = X @ coef
-    mean = expit(lp) if family == BERNOULLI else lp
-    return (observed - mean)[:, None] * X
 
 
 def _check_rank(X: np.ndarray, w: np.ndarray):

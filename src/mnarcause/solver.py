@@ -4,15 +4,15 @@ A^{-1} B A^{-T} sandwich covariance (Stefanski & Boos 2002).
 
 A system may carry the closed-form Jacobian of its averaged equations;
 the solver and the sandwich use it when present. Systems without one fall
-back to the central-difference numeric_jacobian, which is also the oracle
-the closed forms are tested against. A system that builds its values and
-its Jacobian from shared pieces may also give both from one call, which
-the sandwich then makes once.
+back to numeric_jacobian at its default central-difference step; that
+function is also the oracle the closed forms are tested against. A system
+that builds its values and its Jacobian from shared pieces may also give
+both from one call, which the sandwich then makes once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +24,16 @@ COND_LIMIT = 1e12  # beyond this, Newton directions are numerically meaningless
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """psi maps (theta, dataset) to an (n, p) matrix of per-row equation
-    values; blocks name contiguous slices of theta in dependency order.
-    jacobian, when given, maps (theta, dataset) to the (p, p) Jacobian of
-    the averaged equations, d mean(psi) / d theta. psi_and_jacobian, when
-    given, maps (theta, dataset) to the pair (psi, jacobian) at one point."""
+    """psi maps (theta, dataset) to an (n, dim) matrix of per-row equation
+    values. jacobian, when given, maps (theta, dataset) to the (dim, dim)
+    Jacobian of the averaged equations, d mean(psi) / d theta.
+    psi_and_jacobian, when given, maps (theta, dataset) to the pair (psi,
+    jacobian) at one point."""
 
     psi: callable
     dim: int
-    blocks: dict = field(default_factory=dict)
     jacobian: callable = None
     psi_and_jacobian: callable = None
-
-    def block_slice(self, name: str) -> slice:
-        return self.blocks[name]
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,6 @@ class SolveOptions:
     max_iter: int = 100
     tol: float = 1e-8            # on the sup-norm of the averaged equations
     halvings: int = 30
-    jac_step: float = 1e-6       # numeric Jacobian: h_j = jac_step * (1 + |theta_j|)
     init: np.ndarray | None = None
 
 
@@ -79,11 +74,10 @@ def numeric_jacobian(sys: EquationSystem, theta: np.ndarray, d: Dataset,
     return J
 
 
-def jacobian(sys: EquationSystem, theta: np.ndarray, d: Dataset,
-             step: float = 1e-6) -> np.ndarray:
+def jacobian(sys: EquationSystem, theta: np.ndarray, d: Dataset) -> np.ndarray:
     """The system's closed-form Jacobian, or the numeric one without it."""
     if sys.jacobian is None:
-        return numeric_jacobian(sys, theta, d, step=step)
+        return numeric_jacobian(sys, theta, d)
     return _finite_jacobian(sys.jacobian(np.asarray(theta, dtype=float), d))
 
 
@@ -126,7 +120,7 @@ def solve_root(sys: EquationSystem, d: Dataset, opts: SolveOptions = None,
         if np.abs(r).max() < opts.tol:
             record(it)
             return theta
-        J = jacobian(sys, theta, d, step=opts.jac_step)
+        J = jacobian(sys, theta, d)
         if np.linalg.cond(J) > COND_LIMIT:
             raise SingularJacobian("Jacobian condition number beyond 1e12")
         step = np.linalg.solve(J, -r)
@@ -155,14 +149,13 @@ def solve_root(sys: EquationSystem, d: Dataset, opts: SolveOptions = None,
     )
 
 
-def sandwich_covariance(sys: EquationSystem, theta_hat: np.ndarray, d: Dataset,
-                        step: float = 1e-6) -> np.ndarray:
+def sandwich_covariance(sys: EquationSystem, theta_hat: np.ndarray,
+                        d: Dataset) -> np.ndarray:
     """Vhat/n with A the Jacobian of the averaged equations at theta_hat
-    and B the average outer product of per-row equation values. step is
-    the numeric-Jacobian step, used only by systems without a Jacobian."""
+    and B the average outer product of per-row equation values."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     if sys.psi_and_jacobian is None:
-        A = jacobian(sys, theta_hat, d, step=step)
+        A = jacobian(sys, theta_hat, d)
         vals = sys.psi(theta_hat, d)
     else:
         vals, A = sys.psi_and_jacobian(theta_hat, d)

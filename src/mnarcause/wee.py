@@ -22,12 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import Dataset, Observation, Schema
+from .data import Dataset, Schema
 from .errors import (
     BadConfig,
     DimensionMismatch,
     ExtremeWeight,
-    MissingCovariate,
     MissingnessDegenerate,
     NoConvergence,
     RankDeficient,
@@ -40,7 +39,6 @@ from .glm import (
     TREATMENT,
     LinearModelParams,
     ModelSpec,
-    _row_vector,
     design_matrix,
     expit,
     fit_model,
@@ -106,75 +104,6 @@ def g_matrix(gspec: GSpec, d: Dataset) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def build_G(gspec: GSpec, row: Observation, schema: Schema) -> np.ndarray:
-    """Single-row G evaluation."""
-    vals = []
-    for name in gspec.components:
-        if name == "1":
-            vals.append(1.0)
-        elif name == TREATMENT:
-            vals.append(row.a)
-        elif name == OUTCOME:
-            vals.append(row.y)
-        else:
-            vals.append(row.c[schema.confounders.index(name)])
-    return np.asarray(vals)
-
-
-def _missing_lp_row(alpha: LinearModelParams, row: Observation, schema: Schema) -> float:
-    lp = alpha.coefficients[0]
-    for coef, name in zip(alpha.coefficients[1:], alpha.covariates):
-        if name == OUTCOME:
-            lp += coef * row.y
-        elif name == TREATMENT:
-            lp += coef * row.a
-        else:
-            v = row.c[schema.confounders.index(name)]
-            if v is None:
-                raise MissingCovariate(f"covariate {name!r} absent on a complete-case row")
-            lp += coef * v
-    return float(lp)
-
-
-def psi_missing(alpha: LinearModelParams, row: Observation, gspec: GSpec,
-                schema: Schema) -> np.ndarray:
-    """Moment contribution of one row: -G when r=0, (1/M - 1) G when r=1,
-    with 1/M - 1 evaluated as exp(-lp)."""
-    G = build_G(gspec, row, schema)
-    if row.r == 0:
-        return -G
-    lp = _missing_lp_row(alpha, row, schema)
-    return np.exp(-lp) * G
-
-
-def psi_propensity(gamma: LinearModelParams, alpha: LinearModelParams,
-                   row: Observation, schema: Schema,
-                   cap: float = DEFAULT_WEIGHT_CAP) -> np.ndarray:
-    """Weighted propensity score contribution of one row."""
-    if row.r == 0:
-        return np.zeros(gamma.dim)
-    w = 1.0 + np.exp(-_missing_lp_row(alpha, row, schema))
-    if w > cap:
-        raise ExtremeWeight(f"weight {w:.3g} beyond cap {cap:.3g}")
-    x = _row_vector(row, gamma.covariates, schema)
-    return w * (row.a - expit(x @ gamma.coefficients)) * x
-
-
-def psi_outcome(beta: LinearModelParams, alpha: LinearModelParams,
-                row: Observation, schema: Schema, family: str,
-                cap: float = DEFAULT_WEIGHT_CAP) -> np.ndarray:
-    """Weighted outcome score contribution of one row."""
-    if row.r == 0:
-        return np.zeros(beta.dim)
-    w = 1.0 + np.exp(-_missing_lp_row(alpha, row, schema))
-    if w > cap:
-        raise ExtremeWeight(f"weight {w:.3g} beyond cap {cap:.3g}")
-    x = _row_vector(row, beta.covariates, schema)
-    lp = x @ beta.coefficients
-    mean = expit(lp) if family == BERNOULLI else lp
-    return w * (row.y - mean) * x
-
-
 class Design:
     """The design matrices of one dataset that the stacked equations read.
     Each is built on first use and then shared by the equation values and
@@ -223,13 +152,6 @@ def missing_weights(alpha_coef, d: Dataset, model_spec: ModelSpec) -> np.ndarray
     """Vector r/M(c,y;alpha); exactly zero on r=0 rows. alpha_coef None
     means M is forced to 1 (no missingness adjustment)."""
     return Design(d, model_spec).weights(alpha_coef)
-
-
-def psi_missing_matrix(alpha_coef, d: Dataset, model_spec: ModelSpec,
-                       gspec: GSpec) -> np.ndarray:
-    """(n, dim) stage-one moment values."""
-    dz = Design(d, model_spec, gspec)
-    return _moments(dz, dz.tilt(alpha_coef)[1])
 
 
 def _moments(dz: Design, em: np.ndarray) -> np.ndarray:
@@ -465,8 +387,7 @@ class WeeStack:
 
     def system(self) -> EquationSystem:
         return EquationSystem(
-            psi=self.psi, dim=self.dim, blocks=self.blocks,
-            jacobian=self.jacobian,
+            psi=self.psi, dim=self.dim, jacobian=self.jacobian,
             psi_and_jacobian=lambda theta, d: self.evaluate(theta, d, jacobian=True))
 
     def moment_system(self) -> EquationSystem:

@@ -227,6 +227,21 @@ class TestExitCodes:
             capsys, ["simulate", "--config", str(config)])
         assert (code, symbol) == (1, "BadConfig") and "threads" in message
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--mi-m", "two imputations"),
+        ("--mi-k", "donor pool"),
+    ])
+    def test_zero_imputation_settings_are_rejected(self, capsys, tmp_path, data,
+                                                   flag, message):
+        # zero is a value, not an unset flag: it must not fall back to the
+        # default, from the command line or from a config file
+        base = ["fit", "--data", str(data), *COLUMNS, "--estimators", "mi-or"]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag[2:].replace('-', '_')}=0\n")
+        for extra in ([flag, "0"], ["--config", str(config)]):
+            code, symbol, text = failing_run(capsys, [*base, *extra])
+            assert (code, symbol) == (1, "BadConfig") and message in text
+
     def test_unreadable_data_is_2(self, capsys, tmp_path):
         code, symbol, _ = failing_run(
             capsys, ["fit", "--data", str(tmp_path / "absent.csv"), *COLUMNS])

@@ -52,6 +52,23 @@ class TestLoadCsv:
         with pytest.raises(BadValue):
             load_csv(text, SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_cell_in_designated_column(self, cell):
+        # float() parses these, but they are not missing markers: r must
+        # not silently become 0
+        text = f"a,y,c1,c2\n1,2.0,0.5,1\n0,0.5,{cell},0\n"
+        with pytest.raises(BadValue, match=r"non-finite cell .* column 'c1' at data row 2"):
+            load_csv(text, SCHEMA)
+
+    @pytest.mark.parametrize("column", ["y", "c2"])
+    def test_non_finite_cell_elsewhere(self, column):
+        cells = {"a": "1", "y": "2.0", "c1": "0.5", "c2": "1"}
+        cells[column] = "nan"
+        text = "a,y,c1,c2\n0,0.5,-1.0,0\n" + ",".join(cells.values()) + "\n"
+        with pytest.raises(BadValue, match=f"non-finite cell 'nan' in column '{column}' "
+                                           "at data row 2"):
+            load_csv(text, SCHEMA)
+
     def test_bad_treatment_value(self):
         text = "a,y,c1,c2\n2,2.0,0.5,1\n"
         with pytest.raises(BadValue):
@@ -141,10 +158,9 @@ class TestDatasetInvariants:
 
     def test_row_view_hides_missing_value(self):
         d = small_dataset(r_pattern=(1, 0, 1))
-        row = d.row(1)
-        assert row.r == 0
-        assert row.c[0] is None
-        assert row.c[1] == 0.0
+        assert np.isnan(d.c[1, 0])
+        assert d.r[1] == 0
+        assert d.c[1, 1] == 0.0
 
     def test_arrays_read_only(self):
         d = small_dataset()

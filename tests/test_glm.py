@@ -1,6 +1,8 @@
-"""Model families: linear predictors, links, scores, weighted fits."""
+"""Model families: design matrices, links, scores, weighted fits."""
 
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from mnarcause import (
     Dataset,
     DimensionMismatch,
     LinearModelParams,
-    MissingCovariate,
     ModelSpec,
     RankDeficient,
     Schema,
@@ -19,16 +20,18 @@ from mnarcause import (
     design_matrix,
     fit_model,
 )
-from mnarcause.glm import (
-    BERNOULLI,
-    GAUSSIAN,
-    expit,
-    linear_predictor,
-    model_probability,
-    score,
-    score_matrix,
-    weighted_glm_fit,
-)
+from mnarcause.glm import BERNOULLI, GAUSSIAN, expit, weighted_glm_fit
+
+
+def _load_per_row_oracle():
+    path = Path(__file__).parent / "oracles" / "oracle_per_row.py"
+    spec = importlib.util.spec_from_file_location("oracle_per_row", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+per_row = _load_per_row_oracle()
 
 # fixture shared with tests/oracles/oracle_logit_fit.py; frozen reference
 # fits are printed by that script
@@ -91,52 +94,59 @@ def one_row_dataset(c1=0.0, c2=0.0, a=1.0, y=1.0, r=1):
                    c=np.array([[c1v, c2]]), schema=schema)
 
 
+def linear_predictor(params, d):
+    """The first row's linear predictor, from the library's design matrix."""
+    return float(design_matrix(d, params.covariates)[0] @ params.coefficients)
+
+
+def model_probability(params, d):
+    return float(expit(linear_predictor(params, d)))
+
+
+def row_score(params, d, observed, logistic):
+    """The oracle's score of the first row at a given observed value."""
+    x = per_row.row_vector(d, 0, params.covariates)[None, :]
+    return per_row.score_matrix(params.coefficients, x, np.array([observed]),
+                                logistic)[0]
+
+
 class TestLinearPredictor:
     def test_zero_coefficients(self):
         d = one_row_dataset(c1=3.0, y=5.0)
         params = LinearModelParams(np.zeros(3), ("c1", "y"))
-        assert linear_predictor(params, d.row(0), d.schema) == 0.0
+        assert linear_predictor(params, d) == 0.0
 
     def test_missing_model_point(self):
         # 0.5 - 1*c1 + 2*y at (c1=0, y=1)
         d = one_row_dataset(c1=0.0, y=1.0)
         params = LinearModelParams(np.array([0.5, -1.0, 2.0]), ("c1", "y"))
-        assert linear_predictor(params, d.row(0), d.schema) == pytest.approx(2.5)
+        assert linear_predictor(params, d) == pytest.approx(2.5)
 
     def test_propensity_point(self):
         # -0.5 + c1 + c2 at (1, 1)
         d = one_row_dataset(c1=1.0, c2=1.0)
         params = LinearModelParams(np.array([-0.5, 1.0, 1.0]), ("c1", "c2"))
-        assert linear_predictor(params, d.row(0), d.schema) == pytest.approx(1.5)
-
-    def test_missing_covariate(self):
-        d = one_row_dataset(r=0)
-        params = LinearModelParams(np.array([0.0, 1.0]), ("c1",))
-        with pytest.raises(MissingCovariate):
-            linear_predictor(params, d.row(0), d.schema)
+        assert linear_predictor(params, d) == pytest.approx(1.5)
 
 
 class TestModelProbability:
     def test_all_zero(self):
         d = one_row_dataset()
         params = LinearModelParams(np.zeros(3), ("c1", "y"))
-        assert model_probability(params, d.row(0), d.schema) == 0.5
+        assert model_probability(params, d) == 0.5
 
     def test_reference_value(self):
         # expit(1 - 2*0 + 0 + 3*0) = expit(1); oracle_expit.py
         d = one_row_dataset(c1=0.0, c2=0.0, y=0.0)
         params = LinearModelParams(np.array([1.0, -2.0, 1.0, 3.0]),
                                    ("c1", "c2", "y"))
-        assert model_probability(params, d.row(0), d.schema) == pytest.approx(
+        assert model_probability(params, d) == pytest.approx(
             0.73105857863000487925, abs=1e-15)
 
     def test_monotone_in_outcome(self):
         params = LinearModelParams(np.array([0.2, -0.4, 1.5]), ("c1", "y"))
-        probs = [
-            model_probability(params, one_row_dataset(y=y).row(0),
-                              one_row_dataset().schema)
-            for y in (-1.0, 0.0, 2.0)
-        ]
+        probs = [model_probability(params, one_row_dataset(y=y))
+                 for y in (-1.0, 0.0, 2.0)]
         assert probs[0] < probs[1] < probs[2]
 
 
@@ -144,15 +154,15 @@ class TestScore:
     def test_zero_at_exact_fit_bernoulli(self):
         d = one_row_dataset(c1=0.3, a=1.0)
         params = LinearModelParams(np.array([0.1, 0.5]), ("c1",))
-        p = model_probability(params, d.row(0), d.schema)
-        s = score(BERNOULLI, params, d.row(0), d.schema, observed=p)
+        p = model_probability(params, d)
+        s = row_score(params, d, observed=p, logistic=True)
         assert np.allclose(s, 0.0, atol=1e-15)
 
     def test_gaussian_arithmetic(self):
         # y=2, lp=1, x=(1,3) -> (1,3)
         d = one_row_dataset(c1=3.0, y=2.0)
         params = LinearModelParams(np.array([1.0, 0.0]), ("c1",))
-        s = score(GAUSSIAN, params, d.row(0), d.schema, observed=2.0)
+        s = row_score(params, d, observed=2.0, logistic=False)
         assert np.allclose(s, [1.0, 3.0])
 
     def test_matches_numeric_gradient(self):
@@ -170,13 +180,14 @@ class TestScore:
             up[j] += h
             dn[j] -= h
             grad[j] = (loglik(up) - loglik(dn)) / (2 * h)
-        summed = (W[:, None] * score_matrix(BERNOULLI, theta, DESIGN20, T)).sum(axis=0)
+        summed = (W[:, None] * per_row.score_matrix(
+            theta, DESIGN20, T, logistic=True)).sum(axis=0)
         assert np.allclose(summed, grad, rtol=1e-6, atol=1e-8)
 
     def test_score_root_after_fit(self):
         fit = weighted_glm_fit(DESIGN20, T, W, BERNOULLI)
-        summed = (W[:, None] * score_matrix(
-            BERNOULLI, fit.coefficients, DESIGN20, T)).sum(axis=0)
+        summed = (W[:, None] * per_row.score_matrix(
+            fit.coefficients, DESIGN20, T, logistic=True)).sum(axis=0)
         assert np.max(np.abs(summed)) < 1e-8
 
 

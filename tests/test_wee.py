@@ -2,7 +2,9 @@
 stage-one and stage-two contracts, closed-form Jacobians, stacked sandwich
 plumbing."""
 
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +29,18 @@ from mnarcause import (
     resample,
 )
 from mnarcause.glm import GAUSSIAN, expit, weighted_glm_fit
-from mnarcause.wee import (
-    build_G,
-    g_matrix,
-    psi_missing,
-    psi_missing_matrix,
-    psi_outcome,
-    psi_propensity,
-)
+from mnarcause.wee import g_matrix
+
+
+def _load_per_row_oracle():
+    path = Path(__file__).parent / "oracles" / "oracle_per_row.py"
+    spec = importlib.util.spec_from_file_location("oracle_per_row", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+per_row = _load_per_row_oracle()
 
 SCHEMA2 = Schema("a", "y", ("c1", "c2"), "c1")
 
@@ -92,47 +98,45 @@ class TestBuildG:
     def test_component_read_off(self):
         d = Dataset(a=np.array([1.0]), y=np.array([2.0]),
                     c=np.array([[0.3]]), schema=Schema("a", "y", ("c1",), "c1"))
-        g = build_G(GSpec(("1", "a", "y")), d.row(0), d.schema)
+        g = g_matrix(GSpec(("1", "a", "y")), d)[0]
         assert g.tolist() == [1.0, 1.0, 2.0]
 
     def test_with_observed_confounder(self):
         d = Dataset(a=np.array([0.0]), y=np.array([-1.0]),
                     c=np.array([[0.3, 1.0]]), schema=SCHEMA2)
-        g = build_G(GSpec(("1", "a", "c2", "y")), d.row(0), d.schema)
+        g = g_matrix(GSpec(("1", "a", "c2", "y")), d)[0]
         assert g.tolist() == [1.0, 0.0, 1.0, -1.0]
 
     def test_computable_when_missing(self):
         d = Dataset(a=np.array([1.0]), y=np.array([2.0]),
                     c=np.array([[np.nan, 0.5]]), schema=SCHEMA2)
-        g = build_G(GSpec(("1", "c2", "a", "y")), d.row(0), d.schema)
+        g = g_matrix(GSpec(("1", "c2", "a", "y")), d)[0]
         assert g.tolist() == [1.0, 0.5, 1.0, 2.0]
 
 
 class TestPsiMissing:
-    def schema(self):
-        return Schema("a", "y", ("c1",), "c1")
+    """Stage-one moment values: the first row of moment_system().psi on
+    one-row datasets with G = (1, a, y), missing model on (c1, y)."""
+
+    def first_row(self, c1, alpha_coef):
+        schema = Schema("a", "y", ("c1",), "c1")
+        d = Dataset(a=np.array([1.0]), y=np.array([2.0]),
+                    c=np.array([[c1]]), schema=schema)
+        stack = WeeStack(ModelSpec.default_for(schema), schema,
+                         GSpec(("1", "a", "y")), estimate_alpha=True)
+        return stack.moment_system().psi(np.asarray(alpha_coef, dtype=float), d)[0]
 
     def test_missing_row_is_minus_g(self):
-        d = Dataset(a=np.array([1.0]), y=np.array([2.0]),
-                    c=np.array([[np.nan]]), schema=self.schema())
-        alpha = LinearModelParams(np.zeros(3), ("c1", "y"))
-        psi = psi_missing(alpha, d.row(0), GSpec(("1", "a", "y")), d.schema)
+        psi = self.first_row(np.nan, np.zeros(3))
         assert psi.tolist() == [-1.0, -1.0, -2.0]
 
     def test_probability_one_gives_zero(self):
-        d = Dataset(a=np.array([1.0]), y=np.array([2.0]),
-                    c=np.array([[0.5]]), schema=self.schema())
-        alpha = LinearModelParams(np.array([800.0, 0.0, 0.0]), ("c1", "y"))
-        psi = psi_missing(alpha, d.row(0), GSpec(("1", "a", "y")), d.schema)
+        psi = self.first_row(0.5, [800.0, 0.0, 0.0])
         assert psi.tolist() == [0.0, 0.0, 0.0]
 
     def test_quarter_probability(self):
         # M = 0.25 so 1/M - 1 = 3; G = (1, 1, 2)
-        d = Dataset(a=np.array([1.0]), y=np.array([2.0]),
-                    c=np.array([[0.5]]), schema=self.schema())
-        alpha = LinearModelParams(np.array([-np.log(3.0), 0.0, 0.0]),
-                                  ("c1", "y"))
-        psi = psi_missing(alpha, d.row(0), GSpec(("1", "a", "y")), d.schema)
+        psi = self.first_row(0.5, [-np.log(3.0), 0.0, 0.0])
         assert np.allclose(psi, [3.0, 3.0, 6.0], rtol=1e-12)
 
     def test_matrix_matches_row_loop(self):
@@ -140,10 +144,11 @@ class TestPsiMissing:
         spec = ModelSpec.default_for(SCHEMA2)
         gspec = default_G(spec, SCHEMA2)
         alpha_coef = np.array([0.4, -0.8, 0.3, 0.6])
-        alpha = LinearModelParams(alpha_coef, spec.missing_covariates)
-        mat = psi_missing_matrix(alpha_coef, d, spec, gspec)
+        mat = WeeStack(spec, SCHEMA2, gspec, True).moment_system().psi(alpha_coef, d)
         rows = np.vstack([
-            psi_missing(alpha, row, gspec, d.schema) for row in d.rows()
+            per_row.stage_one_row(d, i, alpha_coef, spec.missing_covariates,
+                                  gspec.components)
+            for i in range(d.n)
         ])
         assert np.max(np.abs(mat - rows)) < 1e-12
 
@@ -152,14 +157,19 @@ class TestPsiWeightedScores:
     def test_zero_on_missing_rows(self):
         d, _ = two_confounder_dataset(n=50, seed=4)
         spec = ModelSpec.default_for(SCHEMA2)
+        stack = WeeStack(spec, SCHEMA2, default_G(spec, SCHEMA2),
+                         estimate_alpha=True)
         alpha = LinearModelParams(np.array([0.5, -0.5, 0.2, 0.3]),
                                   spec.missing_covariates)
         gamma = LinearModelParams(np.array([0.1, 0.2, -0.1]),
                                   spec.propensity_covariates)
-        for row in d.rows():
-            if row.r == 0:
-                psi = psi_propensity(gamma, alpha, row, d.schema)
-                assert not psi.any()
+        beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
+                                 spec.outcome_covariates, phi=1.3)
+        psi = stack.psi(stack.pack(alpha, gamma, beta), d)
+        missing = d.r == 0
+        assert missing.any()
+        assert not psi[missing, stack.blocks["gamma"]].any()
+        assert not psi[missing, stack.blocks["beta"]].any()
 
     def test_stack_matches_row_functions(self):
         d, _ = two_confounder_dataset(n=40, seed=5)
@@ -174,24 +184,20 @@ class TestPsiWeightedScores:
                                  spec.outcome_covariates, phi=1.3)
         theta = stack.pack(alpha, gamma, beta)
         batched = stack.psi(theta, d)
-        for i, row in enumerate(d.rows()):
+        models = (alpha.coefficients, alpha.covariates)
+        for i in range(d.n):
             np.testing.assert_allclose(
                 batched[i, stack.blocks["gamma"]],
-                psi_propensity(gamma, alpha, row, d.schema), atol=1e-12)
+                per_row.weighted_propensity_row(
+                    d, i, gamma.coefficients, gamma.covariates, *models),
+                atol=1e-12)
             bsl = stack.blocks["beta"]
             np.testing.assert_allclose(
                 batched[i, bsl.start:bsl.stop - 1],
-                psi_outcome(beta, alpha, row, d.schema, GAUSSIAN), atol=1e-12)
-
-    def test_extreme_weight_raised(self):
-        d, _ = two_confounder_dataset(n=30, seed=6)
-        spec = ModelSpec.default_for(SCHEMA2)
-        alpha = LinearModelParams(np.array([-20.0, 0.0, 0.0, 0.0]),
-                                  spec.missing_covariates)
-        gamma = LinearModelParams(np.zeros(3), spec.propensity_covariates)
-        complete = [row for row in d.rows() if row.r == 1]
-        with pytest.raises(ExtremeWeight):
-            psi_propensity(gamma, alpha, complete[0], d.schema)
+                per_row.weighted_outcome_row(
+                    d, i, beta.coefficients, beta.covariates, *models,
+                    logistic=False),
+                atol=1e-12)
 
 
 class TestMissingWeights:
@@ -329,7 +335,8 @@ class TestGMatrix:
         d, _ = two_confounder_dataset(n=30, seed=16)
         gspec = GSpec(("1", "c2", "a", "y"))
         mat = g_matrix(gspec, d)
-        rows = np.vstack([build_G(gspec, row, d.schema) for row in d.rows()])
+        rows = np.vstack([per_row.row_G(d, i, gspec.components)
+                          for i in range(d.n)])
         assert np.array_equal(mat, rows)
 
 
@@ -399,7 +406,7 @@ class TestClosedFormJacobians:
             stack.jacobian(theta, d)[a, a],
             stack.moment_system().jacobian(alpha, d))
         np.testing.assert_array_equal(
-            stack.psi(theta, d)[:, a], psi_missing_matrix(alpha, d, spec, gspec))
+            stack.psi(theta, d)[:, a], stack.moment_system().psi(alpha, d))
 
 
 class TestStageOneWarnings:
