@@ -77,20 +77,19 @@ from .simlab import (
 )
 from .solver import (
     EquationSystem,
-    SolveOptions,
     average_psi,
     numeric_jacobian,
     sandwich_covariance,
     solve_root,
 )
 from .wee import (
+    Design,
     FitDiagnostics,
     FittedModels,
     GSpec,
     WeeStack,
     default_G,
     fit_wee,
-    missing_weights,
 )
 
 __version__ = "1.0.0"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -150,18 +151,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _fit_report_rows(fitted, results) -> list:
-    """Long-form rows: model coefficient rows first, estimator rows after.
-    Columns: section, name, quantity, estimate, se, ci_lo, ci_hi,
-    boot_se, boot_lo, boot_hi, boot_failures (the resamples on which the
-    estimator failed and which the bootstrap left out)."""
+def _model_rows(fitted) -> list:
+    """The report's model coefficient rows, which come first. Columns:
+    section, name, quantity, estimate, se, ci_lo, ci_hi, boot_se, boot_lo,
+    boot_hi, boot_failures (the resamples on which the estimator failed and
+    which the bootstrap left out)."""
     rows = []
     model_blocks = [("missing", fitted.alpha, "alpha"),
                     ("propensity", fitted.gamma, "gamma"),
                     ("outcome", fitted.beta, "beta")]
     for name, params, block in model_blocks:
-        if params is None:
-            continue
         if block in fitted.blocks:
             ses = fitted.block_se(block)
         else:
@@ -176,11 +175,13 @@ def _fit_report_rows(fitted, results) -> list:
         if params.phi is not None:
             rows.append(("model", name, "dispersion", params.phi,
                          None, None, None, None, None, None, None))
-    for method, est, boot in results:
-        lo, hi = est.ci if est.ci else (None, None)
-        brow = (None,) * 4 if boot is None else (boot.se, *boot.ci, boot.failures)
-        rows.append(("ate", method, "tau", est.tau, est.se, lo, hi, *brow))
     return rows
+
+
+def _ate_row(method, est, boot) -> tuple:
+    lo, hi = est.ci if est.ci else (None, None)
+    brow = (None,) * 4 if boot is None else (boot.se, *boot.ci, boot.failures)
+    return ("ate", method, "tau", est.tau, est.se, lo, hi, *brow)
 
 
 def _emit_fit_report(rows, fmt: str) -> bytes:
@@ -237,7 +238,28 @@ def cmd_fit(args) -> int:
     mi_opts = MiOptions(m=10 if args.mi_m is None else args.mi_m,
                         k=5 if args.mi_k is None else args.mi_k, seed=args.seed)
 
-    fitted = fit_wee(d, model_spec, gspec, restart_seed=args.seed)
+    rows, estimates = _point_estimates(d, methods, model_spec, gspec, mi_opts,
+                                       args.seed)
+    boots = {}
+    if args.bootstrap:
+        for members, estimator in _boot_groups(methods, model_spec, gspec,
+                                               mi_opts):
+            res = bootstrap_ci(estimator, d, args.bootstrap, args.seed)
+            boots.update((m, res.component(k)) for k, m in enumerate(members))
+    rows += [_ate_row(m, estimates[m], boots.get(m)) for m in methods]
+    if args.out:
+        payload = _emit_fit_report(rows, args.format or "csv")
+        with open(args.out, "wb") as fh:
+            fh.write(payload)
+    _print_fit_table(rows)
+    return 0
+
+
+def _point_estimates(d, methods, model_spec, gspec, mi_opts, seed) -> tuple:
+    """The model rows of the full-data fit and each method's estimate with
+    its standard error. The fit, with its Design, and the imputations are
+    freed on return, before any bootstrap resample is drawn."""
+    fitted = fit_wee(d, model_spec, gspec, restart_seed=seed)
     shared = {"wee": fitted}
     estimates = {}
     for m in methods:
@@ -246,21 +268,7 @@ def cmd_fit(args) -> int:
             shared[kind] = _shared_step(kind, d, model_spec, gspec, mi_opts)
         estimates[m] = _estimate(m, d, shared[kind], model_spec, mi_opts,
                                  with_se=True)
-    boots = {}
-    if args.bootstrap:
-        for members, estimator in _boot_groups(methods, model_spec, gspec,
-                                               mi_opts):
-            res = bootstrap_ci(estimator, d, args.bootstrap, args.seed)
-            boots.update((m, res.component(k)) for k, m in enumerate(members))
-    results = [(m, estimates[m], boots.get(m)) for m in methods]
-
-    rows = _fit_report_rows(fitted, results)
-    if args.out:
-        payload = _emit_fit_report(rows, args.format or "csv")
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    _print_fit_table(rows)
-    return 0
+    return _model_rows(fitted), estimates
 
 
 def _shared_step(kind, d, model_spec, gspec, mi_opts):
@@ -278,11 +286,11 @@ def _shared_step(kind, d, model_spec, gspec, mi_opts):
 def _estimate(method, d, shared, model_spec, mi_opts, with_se: bool):
     """One estimator on d, given the step shared by its kind."""
     if method == "wee-or":
-        return tau_wee_or(d, shared, with_se=with_se)
+        return tau_wee_or(shared, with_se=with_se)
     if method == "wee-ipw":
-        return tau_wee_ipw(d, shared, with_se=with_se)
+        return tau_wee_ipw(shared, with_se=with_se)
     if method == "wee-dr":
-        return tau_wee_dr(d, shared, with_se=with_se)
+        return tau_wee_dr(shared, with_se=with_se)
     if method.startswith("cc-"):
         return tau_cc(d, method[3:], model_spec, with_se=with_se)
     return tau_mi(d, method[3:], mi_opts, model_spec, with_se=with_se,
@@ -341,8 +349,10 @@ def cmd_simulate(args) -> int:
     print(f"{'method':<10}{'target':<8}{'bias':>10}{'std':>10}"
           f"{'mean_se':>10}{'coverage':>10}{'fail':>6}")
     for tm in report.metrics:
-        print(f"{tm.method:<10}{tm.target:<8}{tm.bias:10.3f}{tm.std:10.3f}"
-              f"{tm.mean_se:10.3f}{tm.coverage:10.3f}{tm.failures:6d}")
+        # a method that failed in every replication has no metrics
+        cells = "".join(" " * 10 if math.isnan(x) else f"{x:10.3f}"
+                        for x in (tm.bias, tm.std, tm.mean_se, tm.coverage))
+        print(f"{tm.method:<10}{tm.target:<8}{cells}{tm.failures:6d}")
     return 0
 
 

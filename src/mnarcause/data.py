@@ -131,6 +131,9 @@ def load_csv(source, schema: Schema) -> Dataset:
     for role in (schema.treatment, schema.outcome) + schema.confounders:
         if role not in header:
             raise SchemaMismatch(f"column {role!r} absent from header")
+        if header.count(role) > 1:
+            raise SchemaMismatch(
+                f"column {role!r} appears {header.count(role)} times in the header")
     col = {name: header.index(name) for name in header}
     body = rows[1:]
     if not body:

@@ -7,9 +7,11 @@ estimators with M forced to 1 on the complete cases, which gives the
 textbook unweighted formulas; multiple imputation applies them to each
 completed dataset. Every sandwich standard error comes from one stacked
 system, the fit's equations plus a tau row, with its closed-form Jacobian
-as the bread. OR reads no propensity model, so its system has no
-propensity block and the complete-case OR fits none. Bootstrap intervals
-are provided for all estimators.
+as the bread; the WEE stacks read the Design of the fit, and each
+complete-case estimate builds one Design on the complete cases. OR reads
+no propensity model, so its system has no propensity block and the
+complete-case OR fits none. Bootstrap intervals are provided for all
+estimators.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .glm import (
     fit_model,
 )
 from .solver import sandwich_covariance
-from .wee import FittedModels, WeeStack, effect_summands
+from .wee import DEFAULT_WEIGHT_CAP, Design, FittedModels, WeeStack, effect_summands
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -49,91 +51,70 @@ class AteEstimate:
     method: str
     se: float | None = None
     ci: tuple | None = None
-    y1: float | None = None
-    y0: float | None = None
-    notes: tuple = ()
 
     def with_interval(self, se: float) -> "AteEstimate":
         ci = (self.tau - Z95 * se, self.tau + Z95 * se)
-        return AteEstimate(self.tau, self.method, se, ci, self.y1, self.y0, self.notes)
+        return AteEstimate(self.tau, self.method, se, ci)
 
 
-def _overlap_notes(d: Dataset) -> tuple:
-    mask = d.r == 1
-    notes = []
-    if not (mask & (d.a == 1)).any():
-        notes.append("overlap failure: no treated complete cases")
-    if not (mask & (d.a == 0)).any():
-        notes.append("overlap failure: no control complete cases")
-    return tuple(notes)
-
-
-def _check_propensity_cap(d: Dataset, H: np.ndarray, cap: float):
+def _check_propensity_cap(d: Dataset, H: np.ndarray):
     mask = d.r == 1
     t = mask & (d.a == 1)
     c = mask & (d.a == 0)
     with np.errstate(divide="ignore"):
-        if t.any() and (1.0 / H[t]).max() > cap:
+        if t.any() and (1.0 / H[t]).max() > DEFAULT_WEIGHT_CAP:
             raise ExtremeWeight("propensity weight 1/H beyond cap")
-        if c.any() and (1.0 / (1.0 - H[c])).max() > cap:
+        if c.any() and (1.0 / (1.0 - H[c])).max() > DEFAULT_WEIGHT_CAP:
             raise ExtremeWeight("propensity weight 1/(1-H) beyond cap")
 
 
-def _estimate(d: Dataset, stack: WeeStack, alpha, gamma, beta, cap: float,
-              method: str, with_se: bool) -> AteEstimate:
+def _estimate(stack: WeeStack, alpha, gamma, beta, method: str,
+              with_se: bool) -> AteEstimate:
     """Point estimate of the effect estimator in the stack's tau row and,
     with with_se, its standard error from the stacked sandwich: the tau
     equation is summand minus tau, so every estimated block's uncertainty
-    propagates."""
-    dz = stack.design(d)
+    propagates. alpha None means M is forced to 1."""
+    dz = stack.design
     w = dz.weights(None if alpha is None else alpha.coefficients)
-    if w.max() > cap:
-        raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {cap:.3g}")
+    if w.max() > DEFAULT_WEIGHT_CAP:
+        raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {DEFAULT_WEIGHT_CAP:.3g}")
     gamma_coef = None
     if stack.effect in ("ipw", "dr"):
         gamma_coef = gamma.coefficients
-        _check_propensity_cap(d, expit(dz.Xg @ gamma_coef), cap)
+        _check_propensity_cap(dz.d, expit(dz.Xg @ gamma_coef))
     y1, y0 = (float(s.mean()) for s in effect_summands(
-        stack.effect, dz, w, gamma_coef, beta.coefficients,
-        y0_sign=stack.y0_sign))
-    est = AteEstimate(tau=y1 - y0, method=method, y1=y1, y0=y0,
-                      notes=_overlap_notes(d))
+        stack.effect, dz, w, gamma_coef, beta.coefficients))
+    est = AteEstimate(tau=y1 - y0, method=method)
     if not with_se:
         return est
     theta_hat = stack.pack(alpha, gamma, beta, tau=est.tau)
-    cov = sandwich_covariance(stack.system(), theta_hat, d)
+    cov = sandwich_covariance(stack.system(), theta_hat)
     return est.with_interval(float(np.sqrt(cov[-1, -1])))
 
 
-def _wee_estimate(d: Dataset, fitted: FittedModels, which: str, with_se: bool,
-                  y0_sign: float = 1.0) -> AteEstimate:
-    stack = WeeStack(fitted.model_spec, fitted.schema, fitted.gspec,
-                     estimate_alpha="alpha" in fitted.estimated_blocks,
-                     known_alpha_coef=None if fitted.alpha is None
-                     else fitted.alpha.coefficients,
-                     effect=which, y0_sign=y0_sign)
-    return _estimate(d, stack, fitted.alpha, fitted.gamma, fitted.beta,
-                     fitted.weight_cap, f"wee-{which}", with_se)
+def _wee_estimate(fitted: FittedModels, which: str, with_se: bool) -> AteEstimate:
+    stack = WeeStack(fitted.design, "alpha" in fitted.blocks,
+                     known_alpha_coef=fitted.alpha.coefficients, effect=which)
+    return _estimate(stack, fitted.alpha, fitted.gamma, fitted.beta,
+                     f"wee-{which}", with_se)
 
 
-def tau_wee_or(d: Dataset, fitted: FittedModels, with_se: bool = True) -> AteEstimate:
+def tau_wee_or(fitted: FittedModels, with_se: bool = True) -> AteEstimate:
     """Weighted outcome-regression estimate of the treatment effect."""
-    return _wee_estimate(d, fitted, "or", with_se)
+    return _wee_estimate(fitted, "or", with_se)
 
 
-def tau_wee_ipw(d: Dataset, fitted: FittedModels, with_se: bool = True) -> AteEstimate:
+def tau_wee_ipw(fitted: FittedModels, with_se: bool = True) -> AteEstimate:
     """Doubly weighted Horvitz-Thompson estimate (missingness and treatment
     probabilities both inverted)."""
-    return _wee_estimate(d, fitted, "ipw", with_se)
+    return _wee_estimate(fitted, "ipw", with_se)
 
 
-def tau_wee_dr(d: Dataset, fitted: FittedModels, with_se: bool = True,
-               y0_sign: float = 1.0) -> AteEstimate:
+def tau_wee_dr(fitted: FittedModels, with_se: bool = True) -> AteEstimate:
     """Doubly robust estimate. The control-arm augmentation enters with a
     plus sign, the form under which misspecifying one of the two nuisance
-    models leaves the estimator consistent; y0_sign=-1 selects the variant
-    with the sign flipped, kept for comparison studies only."""
-    return _wee_estimate(d, fitted, "dr", with_se, y0_sign)
+    models leaves the estimator consistent."""
+    return _wee_estimate(fitted, "dr", with_se)
 
 
 # complete-case baselines: the weighted estimators with M forced to 1 on
@@ -143,32 +124,31 @@ def tau_wee_dr(d: Dataset, fitted: FittedModels, with_se: bool = True,
 _CC_EFFECTS = {"or": "or", "ipw": "ipw", "aipw": "dr"}
 
 
-def _cc_fits(cc: Dataset, model_spec: ModelSpec, propensity: bool = True):
-    """Unweighted propensity and outcome fits on the complete cases; without
-    propensity, gamma is None (OR reads the outcome model only)."""
+def _cc_fits(dz: Design, propensity: bool = True):
+    """Unweighted propensity and outcome fits on the Design of the complete
+    cases; without propensity, gamma is None (OR reads the outcome model
+    only)."""
+    cc, spec = dz.d, dz.model_spec
     ones = np.ones(cc.n)
     gamma = None
     if propensity:
-        gamma = fit_model(cc, model_spec.propensity_covariates, TREATMENT, ones,
-                          BERNOULLI)
-    beta = fit_model(cc, model_spec.outcome_covariates, OUTCOME, ones,
-                     model_spec.outcome_family)
+        gamma = fit_model(dz.Xg, cc.a, ones, BERNOULLI, spec.propensity_covariates)
+    beta = fit_model(dz.Xb, cc.y, ones, spec.outcome_family, spec.outcome_covariates)
     return gamma, beta
 
 
 def tau_cc(d: Dataset, method: str, model_spec: ModelSpec = None,
-           with_se: bool = True, cap: float = 1e4) -> AteEstimate:
+           with_se: bool = True) -> AteEstimate:
     """Complete-case estimate: drop rows with the confounder missing, fit
     unweighted models, apply the standard OR, Horvitz-Thompson IPW, or
     AIPW formula."""
     if method not in _CC_EFFECTS:
         raise BadConfig(f"unknown method {method!r}")
     model_spec = model_spec or ModelSpec.default_for(d.schema)
-    cc = d.complete_cases()
-    gamma, beta = _cc_fits(cc, model_spec, propensity=method != "or")
-    stack = WeeStack(model_spec, cc.schema, None, estimate_alpha=False,
-                     effect=_CC_EFFECTS[method])
-    return _estimate(cc, stack, None, gamma, beta, cap, f"cc-{method}", with_se)
+    dz = Design(d.complete_cases(), model_spec)
+    gamma, beta = _cc_fits(dz, propensity=method != "or")
+    stack = WeeStack(dz, estimate_alpha=False, effect=_CC_EFFECTS[method])
+    return _estimate(stack, None, gamma, beta, f"cc-{method}", with_se)
 
 
 def cc_parameter_fit(d: Dataset, model_spec: ModelSpec = None):
@@ -176,23 +156,20 @@ def cc_parameter_fit(d: Dataset, model_spec: ModelSpec = None):
     errors: inverse information for the logistic fits, the usual
     residual-variance formula for the Gaussian fit."""
     model_spec = model_spec or ModelSpec.default_for(d.schema)
-    cc = d.complete_cases()
-    gamma, beta = _cc_fits(cc, model_spec)
-    se_gamma = _model_based_se(cc, gamma, model_spec.propensity_covariates,
-                               BERNOULLI, cc.a)
-    se_beta = _model_based_se(cc, beta, model_spec.outcome_covariates,
-                              model_spec.outcome_family, cc.y)
+    dz = Design(d.complete_cases(), model_spec)
+    gamma, beta = _cc_fits(dz)
+    se_gamma = _model_based_se(dz.Xg, gamma, BERNOULLI, dz.d.a)
+    se_beta = _model_based_se(dz.Xb, beta, model_spec.outcome_family, dz.d.y)
     return gamma, se_gamma, beta, se_beta
 
 
-def _model_based_se(d: Dataset, params, covariates, family, observed) -> np.ndarray:
-    X = design_matrix(d, covariates)
+def _model_based_se(X: np.ndarray, params, family, observed) -> np.ndarray:
     if family == BERNOULLI:
         p = expit(X @ params.coefficients)
         info = (X * (p * (1 - p))[:, None]).T @ X
         return np.sqrt(np.diag(np.linalg.inv(info)))
     resid = observed - X @ params.coefficients
-    dof = max(d.n - X.shape[1], 1)
+    dof = max(X.shape[0] - X.shape[1], 1)
     sigma2 = float(resid @ resid) / dof
     return np.sqrt(sigma2 * np.diag(np.linalg.inv(X.T @ X)))
 

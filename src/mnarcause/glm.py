@@ -26,6 +26,9 @@ BERNOULLI = "bernoulli-logit"
 TREATMENT = "a"
 OUTCOME = "y"
 
+MAX_ITER = 100  # damped-Newton iterations of a logistic fit
+TOL = 1e-10     # on the sup-norm of the summed weighted score
+
 
 def expit(x):
     """Logistic function 1/(1+exp(-x)). Below x = -709.78 exp(-x)
@@ -122,10 +125,10 @@ def _check_rank(X: np.ndarray, w: np.ndarray):
         raise RankDeficient(f"weighted design has rank {r} < {X.shape[1]}")
 
 
-def weighted_glm_fit(X: np.ndarray, observed: np.ndarray, weights: np.ndarray, family: str,
-                     covariates: tuple[str, ...] = None, max_iter: int = 100,
-                     tol: float = 1e-10) -> LinearModelParams:
-    """Solve the weighted score equations sum_k w_k * score_k = 0.
+def fit_model(X: np.ndarray, observed: np.ndarray, weights: np.ndarray, family: str,
+              covariates: tuple[str, ...]) -> LinearModelParams:
+    """Solve the weighted score equations sum_k w_k * score_k = 0 on the
+    design X, whose columns after the intercept are the covariates.
 
     Gaussian closes in one weighted-least-squares step; the logistic fit
     runs damped Newton and declares Separation when the coefficient norm
@@ -138,9 +141,6 @@ def weighted_glm_fit(X: np.ndarray, observed: np.ndarray, weights: np.ndarray, f
     if w.sum() <= 0:
         raise RankDeficient("weight total is zero")
     _check_rank(X, w)
-    p = X.shape[1]
-    if covariates is None:
-        covariates = tuple(f"x{j}" for j in range(1, p))
 
     if family == GAUSSIAN:
         XtW = (X * w[:, None]).T
@@ -149,11 +149,11 @@ def weighted_glm_fit(X: np.ndarray, observed: np.ndarray, weights: np.ndarray, f
         phi = float((w * resid**2).sum() / w.sum())
         return LinearModelParams(coef, covariates, phi=phi)
 
-    coef = np.zeros(p)
+    coef = np.zeros(X.shape[1])
     g = (w * (observed - expit(X @ coef))) @ X
     norm = np.abs(g).max()
-    for _ in range(max_iter):
-        if norm < tol:
+    for _ in range(MAX_ITER):
+        if norm < TOL:
             break
         prob = expit(X @ coef)
         H = (X * (w * prob * (1 - prob))[:, None]).T @ X
@@ -181,17 +181,3 @@ def weighted_glm_fit(X: np.ndarray, observed: np.ndarray, weights: np.ndarray, f
         raise NoConvergence(f"logistic score residual {norm:.2e} above tolerance")
     return LinearModelParams(coef, covariates)
 
-
-def fit_model(d: Dataset, covariates: tuple[str, ...], target: str, weights: np.ndarray,
-              family: str) -> LinearModelParams:
-    """Weighted fit against a dataset; target is 'a', 'y', or 'r'."""
-    X = design_matrix(d, covariates)
-    if target == TREATMENT:
-        obs = d.a
-    elif target == OUTCOME:
-        obs = d.y
-    elif target == "r":
-        obs = d.r
-    else:
-        raise SchemaMismatch(f"unknown target {target!r}")
-    return weighted_glm_fit(X, obs, weights, family, covariates=covariates)

@@ -12,7 +12,8 @@ when the missingness model is unrestricted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -97,6 +98,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TargetMetrics:
+    """bias, std, mean_se and coverage are NaN when the method failed in
+    every replication."""
+
     method: str
     target: str
     truth: float
@@ -250,10 +254,10 @@ def _rep_table2(d: Dataset, methods, est_seeds, mi_opts: MiOptions) -> dict:
 
     def wee_estimate(m, fitted):
         if m == "wee-or":
-            return tau_wee_or(d, fitted)
+            return tau_wee_or(fitted)
         if m == "wee-ipw":
-            return tau_wee_ipw(d, fitted)
-        return tau_wee_dr(d, fitted)
+            return tau_wee_ipw(fitted)
+        return tau_wee_dr(fitted)
 
     opts = replace(mi_opts, seed=est_seeds[1])
     each([m for m in methods if m.startswith("wee-")], wee_fit, wee_estimate)
@@ -267,6 +271,11 @@ def _rep_table2(d: Dataset, methods, est_seeds, mi_opts: MiOptions) -> dict:
 
 def _metrics(method: str, target: str, truth: float, ests: list, ses: list,
              failures: int) -> TargetMetrics:
+    if not ests:
+        nan = float("nan")
+        return TargetMetrics(method=method, target=target, truth=truth, bias=nan,
+                             std=nan, mean_se=nan, coverage=nan, successes=0,
+                             failures=failures)
     ests = np.asarray(ests, dtype=float)
     ses = np.asarray(ses, dtype=float)
     bias = float(ests.mean() - truth)
@@ -283,7 +292,8 @@ def run_monte_carlo(config: ScenarioConfig) -> MonteCarloReport:
     """Replicated study. Replication i draws its data and estimation seeds
     from the pair (config.seed, i), so any subset of replications can be
     reproduced in isolation. Per-method failures are recorded and excluded
-    from the metrics; only a study where every method fails in every
+    from the metrics; a method that fails in every replication still gets
+    its rows, and only a study where every method fails in every
     replication is an error."""
     mi_opts = MiOptions(m=config.mi_m, k=config.mi_k)
     methods = config.estimators
@@ -328,9 +338,7 @@ def run_monte_carlo(config: ScenarioConfig) -> MonteCarloReport:
     for m in methods:
         targets = TABLE1_TARGETS if config.table1 else ("ate",)
         for t in targets:
-            if (m, t) not in succ:
-                continue
-            ests, ses = succ[(m, t)]
+            ests, ses = succ.get((m, t), ([], []))
             metrics.append(_metrics(m, t, truth_map[t], ests, ses, fails[m]))
     return MonteCarloReport(scenario=config.scenario, n=config.n,
                             replications=config.replications,
@@ -339,7 +347,8 @@ def run_monte_carlo(config: ScenarioConfig) -> MonteCarloReport:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    """17 significant digits; NaN, a metric without successes, is empty."""
+    return "" if math.isnan(x) else format(float(x), ".17g")
 
 
 def emit_report(report: MonteCarloReport, format: str = "csv") -> bytes:
@@ -358,13 +367,9 @@ def emit_report(report: MonteCarloReport, format: str = "csv") -> bytes:
             "n": report.n,
             "replications": report.replications,
             "seed": report.seed,
-            "metrics": [
-                {"method": tm.method, "target": tm.target, "truth": tm.truth,
-                 "bias": tm.bias, "std": tm.std, "mean_se": tm.mean_se,
-                 "coverage": tm.coverage, "successes": tm.successes,
-                 "failures": tm.failures}
-                for tm in report.metrics
-            ],
+            # NaN, a metric without successes, becomes null
+            "metrics": [{k: None if v != v else v for k, v in asdict(tm).items()}
+                        for tm in report.metrics],
             "raw": [[m, i, e] for m, i, e in report.raw],
         }
         return (json.dumps(payload, indent=1) + "\n").encode()
@@ -437,13 +442,15 @@ def example1_observed_density(p: Example1Params, a: float, c1, y: float,
     return float(val)
 
 
-def example1_grid_compare(p1: Example1Params, p2: Example1Params,
-                          points: int = 10) -> dict:
+EXAMPLE1_GRID_POINTS = 10  # per axis of the (c1, y) grid on [-3, 3]
+
+
+def example1_grid_compare(p1: Example1Params, p2: Example1Params) -> dict:
     """Compare two parameter sets over a grid of observed-data points.
     Returns the largest absolute difference on each branch and the largest
     relative difference overall."""
-    c_grid = np.linspace(-3.0, 3.0, points)
-    y_grid = np.linspace(-3.0, 3.0, points)
+    c_grid = np.linspace(-3.0, 3.0, EXAMPLE1_GRID_POINTS)
+    y_grid = np.linspace(-3.0, 3.0, EXAMPLE1_GRID_POINTS)
     max_abs_r1 = 0.0
     max_abs_r0 = 0.0
     max_rel = 0.0

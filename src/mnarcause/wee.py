@@ -5,9 +5,9 @@ Stage one solves the moment equation
 for the missing-probability coefficients; stage two solves the propensity
 and outcome score equations weighted by r/M. A joint stacked sandwich at
 the fitted point propagates first-stage uncertainty into every block.
-WeeStack evaluates the stacked equations and their closed-form Jacobian
-from design matrices built once per dataset (Design); stage-one Newton
-and the sandwich bread both use it.
+One Design per dataset holds the design matrices that the stage-two fits,
+stage one, every WeeStack and its sandwich read. A WeeStack is bound to
+its Design, and a fit's FittedModels keep it for the effect estimators.
 
 Numerical form used throughout: on r=1 rows, with lp the missing-model
 linear predictor, 1/M - 1 = exp(-lp) and 1/M = 1 + exp(-lp) exactly. This
@@ -17,7 +17,7 @@ itself overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,9 +43,10 @@ from .glm import (
     expit,
     fit_model,
 )
-from .solver import EquationSystem, SolveOptions, solve_root
+from .solver import EquationSystem, solve_root
 
-DEFAULT_WEIGHT_CAP = 1e4
+DEFAULT_WEIGHT_CAP = 1e4  # on r/M, and on the propensity weights 1/H and 1/(1-H)
+RESTARTS = 5              # jittered stage-one restarts after a failed solve
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,10 @@ def g_matrix(gspec: GSpec, d: Dataset) -> np.ndarray:
 
 
 class Design:
-    """The design matrices of one dataset that the stacked equations read.
-    Each is built on first use and then shared by the equation values and
-    their Jacobian, across Newton iterations and the sandwich."""
+    """The design matrices of one dataset under one model spec. Each is
+    built on first use and then shared by the fits, the equation values and
+    their Jacobian, across Newton iterations and every sandwich. gspec is
+    needed only when stage one is solved."""
 
     def __init__(self, d: Dataset, model_spec: ModelSpec, gspec: GSpec | None = None):
         self.d = d
@@ -148,12 +150,6 @@ class Design:
         return np.where(self.complete, 1.0 + self.tilt(alpha_coef)[1], 0.0)
 
 
-def missing_weights(alpha_coef, d: Dataset, model_spec: ModelSpec) -> np.ndarray:
-    """Vector r/M(c,y;alpha); exactly zero on r=0 rows. alpha_coef None
-    means M is forced to 1 (no missingness adjustment)."""
-    return Design(d, model_spec).weights(alpha_coef)
-
-
 def _moments(dz: Design, em: np.ndarray) -> np.ndarray:
     """Stage-one moment values from em = exp(-lp). The tilt factor is em on
     complete rows and the constant -1 on missing rows; the factor is chosen
@@ -167,7 +163,7 @@ def _moments_jacobian(dz: Design, em: np.ndarray) -> np.ndarray:
 
 
 def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef,
-                    y0_sign: float = 1.0, jacobian: bool = False):
+                    jacobian: bool = False):
     """Per-row contributions s1, s0 to Yhat(1) and Yhat(0) for one weighted
     estimator (or, ipw, dr) under the weights w; both vectors are exactly
     zero on rows missing the designated confounder. Written so no division
@@ -219,18 +215,13 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
         if which == "dr":
             adj1 = np.where(treated, (y - O1) / H, 0.0)
             s1 = np.where(mask, w * (O1 + adj1), 0.0)
-            if y0_sign > 0:
-                adj0 = np.where(~treated, (y - O0) / (1.0 - H), 0.0)
-                s0 = np.where(mask, w * (O0 + adj0), 0.0)
-            else:
-                adj0 = np.where(~treated, (y + O0) / (1.0 - H), 0.0)
-                s0 = np.where(mask, w * (-O0 + adj0), 0.0)
+            adj0 = np.where(~treated, (y - O0) / (1.0 - H), 0.0)
+            s0 = np.where(mask, w * (O0 + adj0), 0.0)
             if not jacobian:
                 return s1, s0
-            sign = 1.0 if y0_sign > 0 else -1.0
             dg = np.where(mask, -w * (adj1 * (1.0 - H) + adj0 * H), 0.0)
             d1 = np.where(mask, w * dO1 * np.where(treated, 1.0 - 1.0 / H, 1.0), 0.0)
-            d0 = np.where(mask, sign * w * dO0
+            d0 = np.where(mask, w * dO0
                           * np.where(~treated, 1.0 - 1.0 / (1.0 - H), 1.0), 0.0)
             return s1, s0, dg @ dz.Xg / n, beta_gradient(d1, d0)
     raise BadConfig(f"unknown estimator {which!r}")
@@ -249,31 +240,29 @@ class FitDiagnostics:
 class WeeStack:
     """Stacked per-row equation values for the estimated blocks and the
     closed-form Jacobian of their average, as one equation system for the
-    generic solver. Block order: alpha (when estimated) | gamma | beta
-    [| phi for the Gaussian family] [| tau when an effect estimator is
-    given]. The tau row is summand minus tau, so the sandwich propagates
-    every estimated block's uncertainty into the effect.
+    generic solver, bound to the Design of one dataset. Block order: alpha
+    (when estimated) | gamma | beta [| phi for the Gaussian family] [| tau
+    when an effect estimator is given]. The tau row is summand minus tau,
+    so the sandwich propagates every estimated block's uncertainty into the
+    effect.
 
     The OR stack has no gamma block. No beta, phi or tau row reads gamma,
     so the bread is block-triangular with gamma on its own, the tau row of
     its inverse has zero gamma entries, and dropping the block leaves the
     tau variance unchanged (Stefanski & Boos 2002).
 
-    With alpha known or M forced to 1 (known_alpha_coef None, no alpha
-    block) the weights are constants; a complete-case analysis is this
-    stack with M forced to 1 on the complete cases.
+    With alpha known, or M forced to 1 (known_alpha_coef None), there is no
+    alpha block and the weights are constants; a complete-case analysis is
+    this stack with M forced to 1 on the Design of the complete cases.
     """
 
-    def __init__(self, model_spec: ModelSpec, schema: Schema, gspec: GSpec,
-                 estimate_alpha: bool, known_alpha_coef=None, effect: str = None,
-                 y0_sign: float = 1.0):
-        self.model_spec = model_spec
-        self.schema = schema
-        self.gspec = gspec
+    def __init__(self, dz: Design, estimate_alpha: bool, known_alpha_coef=None,
+                 effect: str = None):
+        model_spec = dz.model_spec
+        self.design = dz
         self.estimate_alpha = estimate_alpha
         self.known_alpha_coef = known_alpha_coef
         self.effect = effect
-        self.y0_sign = y0_sign
         self.p_alpha = (1 + len(model_spec.missing_covariates)) if estimate_alpha else 0
         self.p_gamma = 0 if effect == "or" else 1 + len(model_spec.propensity_covariates)
         self.p_beta = 1 + len(model_spec.outcome_covariates)
@@ -293,17 +282,11 @@ class WeeStack:
         if effect:
             blocks["tau"] = slice(end, end + 1)
         self.blocks = blocks
-        self._design = None
 
-    def design(self, d: Dataset) -> Design:
-        """The design of d, kept while the stack is used on the same data."""
-        if self._design is None or self._design.d is not d:
-            self._design = Design(d, self.model_spec, self.gspec)
-        return self._design
-
-    def pack(self, alpha: LinearModelParams, gamma: LinearModelParams | None,
+    def pack(self, alpha: LinearModelParams | None, gamma: LinearModelParams | None,
              beta: LinearModelParams, tau: float = None) -> np.ndarray:
-        """theta in block order; gamma is not read without a gamma block."""
+        """theta in block order; alpha is not read without an alpha block,
+        nor gamma without a gamma block."""
         parts = []
         if self.estimate_alpha:
             parts.append(alpha.coefficients)
@@ -316,17 +299,18 @@ class WeeStack:
             parts.append([tau])
         return np.concatenate(parts)
 
-    def psi(self, theta, d: Dataset) -> np.ndarray:
-        return self.evaluate(theta, d)[0]
+    def psi(self, theta) -> np.ndarray:
+        return self.evaluate(theta)[0]
 
-    def jacobian(self, theta, d: Dataset) -> np.ndarray:
-        return self.evaluate(theta, d, jacobian=True)[1]
+    def jacobian(self, theta) -> np.ndarray:
+        return self.evaluate(theta, jacobian=True)[1]
 
-    def evaluate(self, theta, d: Dataset, jacobian: bool = False):
+    def evaluate(self, theta, jacobian: bool = False):
         """(n, dim) per-row equation values and, with jacobian set, the
         (dim, dim) Jacobian of their average (else None)."""
         theta = np.asarray(theta, dtype=float)
-        dz = self.design(d)
+        dz = self.design
+        d = dz.d
         n = d.n
         b = self.blocks
         gsl = b.get("gamma")
@@ -340,8 +324,7 @@ class WeeStack:
             w = dz.weights(self.known_alpha_coef)
         if self.effect:
             s1, s0, *effect_gradient = effect_summands(
-                self.effect, dz, w, gamma_coef, beta_coef, self.y0_sign,
-                jacobian=jacobian)
+                self.effect, dz, w, gamma_coef, beta_coef, jacobian=jacobian)
             effect = s1 - s0
             del s1, s0  # keeps the peak memory of large fits down
         vals = np.empty((n, self.dim))
@@ -388,16 +371,16 @@ class WeeStack:
     def system(self) -> EquationSystem:
         return EquationSystem(
             psi=self.psi, dim=self.dim, jacobian=self.jacobian,
-            psi_and_jacobian=lambda theta, d: self.evaluate(theta, d, jacobian=True))
+            psi_and_jacobian=lambda theta: self.evaluate(theta, jacobian=True))
 
     def moment_system(self) -> EquationSystem:
         """Stage one alone: the alpha block, which involves no other block."""
-        def psi(alpha_coef, d):
-            dz = self.design(d)
+        dz = self.design
+
+        def psi(alpha_coef):
             return _moments(dz, dz.tilt(alpha_coef)[1])
 
-        def jacobian(alpha_coef, d):
-            dz = self.design(d)
+        def jacobian(alpha_coef):
             return _moments_jacobian(dz, dz.tilt(alpha_coef)[1])
 
         return EquationSystem(psi=psi, dim=self.p_alpha, jacobian=jacobian)
@@ -406,28 +389,16 @@ class WeeStack:
 @dataclass(frozen=True)
 class FittedModels:
     """Fitted missing-probability, propensity, and outcome models with the
-    joint sandwich covariance of every estimated block."""
+    joint sandwich covariance of every estimated block, and the Design of
+    the data they were fitted on."""
 
-    alpha: LinearModelParams | None
+    alpha: LinearModelParams
     gamma: LinearModelParams
     beta: LinearModelParams
     covariance: np.ndarray
     blocks: dict
-    estimated_blocks: tuple
     diagnostics: FitDiagnostics
-    model_spec: ModelSpec
-    schema: Schema
-    gspec: GSpec
-    weight_cap: float
-
-    def weights(self, d: Dataset, check_cap: bool = True) -> np.ndarray:
-        coef = None if self.alpha is None else self.alpha.coefficients
-        w = missing_weights(coef, d, self.model_spec)
-        if check_cap and w.max() > self.weight_cap:
-            raise ExtremeWeight(
-                f"weight {w.max():.3g} beyond cap {self.weight_cap:.3g}"
-            )
-        return w
+    design: Design
 
     def block_cov(self, name: str) -> np.ndarray:
         s = self.blocks[name]
@@ -437,35 +408,36 @@ class FittedModels:
         return np.sqrt(np.diag(self.block_cov(name)))
 
 
-def _naive_alpha_init(d: Dataset, model_spec: ModelSpec) -> np.ndarray:
+def _naive_alpha_init(dz: Design) -> np.ndarray:
     """Logit fit of r on the always-present missing-model covariates, with
     zero at the position of the partially observed confounder. Exact in the
     sub-model where that coefficient is zero."""
-    observed = tuple(c for c in model_spec.missing_covariates if c != d.schema.missing)
-    naive = fit_model(d, observed, "r", np.ones(d.n), BERNOULLI)
-    init = np.zeros(1 + len(model_spec.missing_covariates))
+    d, covariates = dz.d, dz.model_spec.missing_covariates
+    observed = tuple(c for c in covariates if c != d.schema.missing)
+    naive = fit_model(design_matrix(d, observed), d.r, np.ones(d.n), BERNOULLI,
+                      observed)
+    init = np.zeros(1 + len(covariates))
     init[0] = naive.coefficients[0]
-    pos = {name: 1 + j for j, name in enumerate(model_spec.missing_covariates)}
+    pos = {name: 1 + j for j, name in enumerate(covariates)}
     for coef, name in zip(naive.coefficients[1:], observed):
         init[pos[name]] = coef
     return init
 
 
-def _solve_alpha(d: Dataset, stack: WeeStack, opts: SolveOptions, restarts: int,
-                 restart_seed) -> tuple[np.ndarray, int, int]:
+def _solve_alpha(stack: WeeStack, restart_seed) -> tuple[np.ndarray, int, int]:
     system = stack.moment_system()
-    init = _naive_alpha_init(d, stack.model_spec)
+    init = _naive_alpha_init(stack.design)
     stats: dict = {}
     try:
-        root = solve_root(system, d, replace(opts, init=init), stats=stats)
+        root = solve_root(system, init, stats=stats)
         return root, stats.get("iterations", 0), 0
     except (NoConvergence, SingularJacobian) as err:
         last = err
     rng = np.random.default_rng(restart_seed)
-    for attempt in range(1, restarts + 1):
+    for attempt in range(1, RESTARTS + 1):
         jitter = init + 0.5 * rng.standard_normal(init.shape)
         try:
-            root = solve_root(system, d, replace(opts, init=jitter), stats=stats)
+            root = solve_root(system, jitter, stats=stats)
             return root, stats.get("iterations", 0), attempt
         except (NoConvergence, SingularJacobian) as err:
             last = err
@@ -473,69 +445,60 @@ def _solve_alpha(d: Dataset, stack: WeeStack, opts: SolveOptions, restarts: int,
 
 
 def fit_wee(d: Dataset, model_spec: ModelSpec = None, gspec: GSpec = None,
-            opts: SolveOptions = None, known_alpha: LinearModelParams = None,
-            unit_missing_model: bool = False, weight_cap: float = DEFAULT_WEIGHT_CAP,
-            restarts: int = 5, restart_seed: int = 0,
+            known_alpha: LinearModelParams = None, restart_seed: int = 0,
             covariance: bool = True) -> FittedModels:
     """Two-stage fit returning all three models and the stacked sandwich.
 
     known_alpha supplies the missing-probability coefficients instead of
     solving the stage-one moment equation (its block then carries no
-    uncertainty). unit_missing_model forces M to 1, reducing the weighted
-    fits to complete-case fits.
+    uncertainty).
     """
     model_spec = model_spec or ModelSpec.default_for(d.schema)
-    opts = opts or SolveOptions()
     schema = d.schema
     n_missing = int((d.r == 0).sum())
     n_complete = d.n - n_missing
     if n_complete == 0:
         raise RankDeficient("no complete cases to fit on")
 
-    estimate_alpha = not unit_missing_model and known_alpha is None
+    estimate_alpha = known_alpha is None
+    if estimate_alpha and n_missing == 0:
+        raise MissingnessDegenerate(
+            "no missing rows: the moment equation has no interior root; "
+            "use a complete-case analysis instead"
+        )
+    gspec = gspec or default_G(model_spec, schema)
+    dz = Design(d, model_spec, gspec)
     if estimate_alpha:
-        if n_missing == 0:
-            raise MissingnessDegenerate(
-                "no missing rows: the moment equation has no interior root; "
-                "use a complete-case analysis instead"
-            )
-        gspec = gspec or default_G(model_spec, schema)
         gspec.validate(schema, model_spec)
-        stack = WeeStack(model_spec, schema, gspec, estimate_alpha=True)
-        alpha_coef, iters, used_restarts = _solve_alpha(
-            d, stack, opts, restarts, restart_seed)
+        stack = WeeStack(dz, estimate_alpha=True)
+        alpha_coef, iters, used_restarts = _solve_alpha(stack, restart_seed)
         alpha = LinearModelParams(alpha_coef, model_spec.missing_covariates)
     else:
-        gspec = gspec or (default_G(model_spec, schema) if not unit_missing_model else None)
-        alpha = None if unit_missing_model else known_alpha
-        if alpha is not None and tuple(alpha.covariates) != model_spec.missing_covariates:
+        alpha = known_alpha
+        if tuple(alpha.covariates) != model_spec.missing_covariates:
             raise DimensionMismatch("known alpha covariates disagree with the model spec")
-        alpha_coef = None if alpha is None else alpha.coefficients
-        stack = WeeStack(model_spec, schema, gspec, estimate_alpha=False,
-                         known_alpha_coef=alpha_coef)
+        alpha_coef = alpha.coefficients
+        stack = WeeStack(dz, estimate_alpha=False, known_alpha_coef=alpha_coef)
         iters, used_restarts = 0, 0
 
-    dz = stack.design(d)
     w = dz.weights(alpha_coef)
-    if w.max() > weight_cap:
-        raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {weight_cap:.3g}")
-    if alpha_coef is None:
-        m_fit = np.ones(n_complete)
-    else:
-        m_fit = expit(dz.tilt(alpha_coef)[0][dz.complete])
+    if w.max() > DEFAULT_WEIGHT_CAP:
+        raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {DEFAULT_WEIGHT_CAP:.3g}")
+    m_fit = expit(dz.tilt(alpha_coef)[0][dz.complete])
 
-    gamma = fit_model(d, model_spec.propensity_covariates, TREATMENT, w,
-                      BERNOULLI)
-    beta = fit_model(d, model_spec.outcome_covariates, OUTCOME, w,
-                     model_spec.outcome_family)
+    gamma = fit_model(dz.Xg, d.a, w, BERNOULLI, model_spec.propensity_covariates)
+    beta = fit_model(dz.Xb, d.y, w, model_spec.outcome_family,
+                     model_spec.outcome_covariates)
 
     theta_hat = stack.pack(alpha, gamma, beta)
-    residual = np.abs(stack.psi(theta_hat, d).mean(axis=0))
+    residual = np.abs(stack.psi(theta_hat).mean(axis=0))
     residual_sup = {name: float(residual[s].max()) for name, s in stack.blocks.items()}
 
     if covariance:
+        # looked up at call time, so that a wrapper installed on
+        # solver.sandwich_covariance (the benchmark's tracer) sees this call
         from .solver import sandwich_covariance
-        cov = sandwich_covariance(stack.system(), theta_hat, d)
+        cov = sandwich_covariance(stack.system(), theta_hat)
     else:
         cov = np.full((stack.dim, stack.dim), np.nan)
 
@@ -547,9 +510,5 @@ def fit_wee(d: Dataset, model_spec: ModelSpec = None, gspec: GSpec = None,
         max_fitted_m=float(m_fit.max()),
         max_weight=float(w.max()),
     )
-    estimated = tuple(stack.blocks.keys())
-    return FittedModels(
-        alpha=alpha, gamma=gamma, beta=beta, covariance=cov,
-        blocks=stack.blocks, estimated_blocks=estimated, diagnostics=diags,
-        model_spec=model_spec, schema=schema, gspec=gspec, weight_cap=weight_cap,
-    )
+    return FittedModels(alpha=alpha, gamma=gamma, beta=beta, covariance=cov,
+                        blocks=stack.blocks, diagnostics=diags, design=dz)

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestSharedBootstrap:
         for name, fn in (("wee-or", tau_wee_or), ("wee-ipw", tau_wee_ipw),
                          ("wee-dr", tau_wee_dr)):
             alone = bootstrap_ci(
-                lambda b: fn(b, fit_wee(b, covariance=False), with_se=False).tau,
+                lambda b: fn(fit_wee(b, covariance=False), with_se=False).tau,
                 d, 20, 0)
             row = ate[name]
             assert row["boot_failures"] == alone.failures == 2
@@ -173,6 +174,31 @@ class TestSharedBootstrap:
         imputations = counted(monkeypatch, cli, "impute_pmm")
         self.fit_json(data, tmp_path, "mi-or,cc-or,mi-ipw,mi-aipw", "--mi-m", "3")
         assert len(imputations) == 1
+
+    def test_full_data_fit_is_freed_before_the_bootstrap(self, data, tmp_path,
+                                                         monkeypatch):
+        """The full-data fit holds the Design of the whole dataset; the
+        bootstrap's resamples must not have to fit beside it."""
+        fits = []
+        original_fit = cli.fit_wee
+
+        def fit_and_watch(*args, **kwargs):
+            fitted = original_fit(*args, **kwargs)
+            fits.append(weakref.ref(fitted))
+            return fitted
+
+        alive = []
+        original_boot = cli.bootstrap_ci
+
+        def boot(*args, **kwargs):
+            if not alive:
+                alive.append(fits[0]() is not None)
+            return original_boot(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_wee", fit_and_watch)
+        monkeypatch.setattr(cli, "bootstrap_ci", boot)
+        self.fit_json(data, tmp_path, "wee-or,wee-dr", "--bootstrap", "2")
+        assert alive == [False]
 
 
 def failing_run(capsys, argv):
@@ -246,6 +272,13 @@ class TestExitCodes:
         code, symbol, _ = failing_run(
             capsys, ["fit", "--data", str(tmp_path / "absent.csv"), *COLUMNS])
         assert (code, symbol) == (2, "BadValue")
+
+    def test_repeated_role_column_is_2(self, capsys, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("a,y,c1,c1\n1,2.0,0.5,0.7\n0,1.0,,0.2\n")
+        code, symbol, message = failing_run(
+            capsys, ["fit", "--data", str(path), *COLUMNS])
+        assert (code, symbol) == (2, "SchemaMismatch") and "'c1'" in message
 
     def test_no_missing_rows_is_3(self, capsys, tmp_path):
         d, truth = generate_table1("continuous", 200, 7)
@@ -363,6 +396,45 @@ class TestSimulateReports:
             (tmp_path / "study_raw.csv").read_text())))
         assert rows[0] == ["scenario", "method", "replication", "estimate"]
         assert [r[:3] for r in rows[1:]] == [["ocpc", "cc-or", "0"]]
+
+
+class TestMethodFailingEveryReplication:
+    """mi-k 400 exceeds the complete cases of every 200-row replication, so
+    mi-or fails (TooFewDonors) in all three; its row must still be
+    reported, with its failures and without metrics."""
+
+    ARGV = ["simulate", "--scenario", "ocpc", "--n", "200", "--reps", "3",
+            "--mi-k", "400", "--seed", "1"]
+
+    def test_report_keeps_the_method(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        rows = {(r[1], r[3]): r[4] for r in csv.reader(io.StringIO(out.read_text()))}
+        assert [rows[("mi-or", k)] for k in
+                ("bias", "std", "mean_se", "coverage", "successes", "failures")] == \
+            ["", "", "", "", "0", "3"]
+        assert rows[("wee-or", "successes")] == "3"
+        table = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert table["mi-or"] == f"{'mi-or':<10}{'ate':<8}{'':40}{3:6d}"
+
+    def test_json_report_has_nulls(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main([*self.ARGV, "--format", "json", "--out", str(out)]) == 0
+        metrics = {m["method"]: m for m in json.loads(out.read_text())["metrics"]}
+        assert metrics["mi-or"] == {
+            "method": "mi-or", "target": "ate", "truth": 3.0, "bias": None,
+            "std": None, "mean_se": None, "coverage": None, "successes": 0,
+            "failures": 3}
+
+    def test_metrics_are_nan_floats(self):
+        report = run_monte_carlo(ScenarioConfig(
+            scenario="ocpc", n=200, replications=3, seed=1, mi_k=400))
+        tm = {tm.method: tm for tm in report.metrics}["mi-or"]
+        assert all(isinstance(x, float) and np.isnan(x)
+                   for x in (tm.bias, tm.std, tm.mean_se, tm.coverage))
+        assert (tm.successes, tm.failures) == (0, 3)
+        assert [tm.method for tm in report.metrics] == list(ScenarioConfig(
+            scenario="ocpc").estimators)
 
 
 def test_import_loads_no_scipy():

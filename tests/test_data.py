@@ -107,6 +107,18 @@ class TestLoadCsv:
         d = load_csv(text, SCHEMA)
         assert d.n == 1 and d.y[0] == 2.0
 
+    @pytest.mark.parametrize("header", ["a,y,c1,c2,c2", "a,y,y,c1,c2"])
+    def test_repeated_role_column(self, header):
+        # which of the two cells would be the value is undecidable
+        name = "c2" if header.endswith("c2,c2") else "y"
+        text = f"{header}\n1,2.0,0.5,1,0\n"
+        with pytest.raises(SchemaMismatch, match=f"'{name}' appears 2 times"):
+            load_csv(text, SCHEMA)
+
+    def test_repeated_column_outside_roles_ignored(self):
+        text = "x,a,y,c1,c2,x\n9,1,2.0,0.5,1,8\n"
+        assert load_csv(text, SCHEMA).n == 1
+
 
 class TestRoundTrip:
     def test_round_trip_preserves_values_and_missingness(self):

@@ -12,6 +12,7 @@ import pytest
 from mnarcause import (
     BadConfig,
     Dataset,
+    Design,
     EquationSystem,
     ExtremeWeight,
     FittedModels,
@@ -45,21 +46,33 @@ from mnarcause import estimators
 from mnarcause.estimators import _nearest_donors
 from mnarcause.glm import expit
 from mnarcause.simlab import TABLE2_ALPHA
-from mnarcause.wee import FitDiagnostics
+from mnarcause.wee import FitDiagnostics, effect_summands
 
 SCHEMA1 = Schema("a", "y", ("c1",), "c1")
+# a known missing model with M = expit(800) = 1 exactly: every weight r/M
+# is then r, and fit_wee reduces to unweighted complete-case fits
+UNIT_ALPHA = LinearModelParams(np.array([800.0, 0.0, 0.0]), ("c1", "y"))
 
 
-def make_fitted(alpha, gamma, beta, schema, spec=None):
-    """Hand-assembled model container for point-estimate checks."""
-    spec = spec or ModelSpec.default_for(schema)
+def make_fitted(d, alpha, gamma, beta):
+    """Hand-assembled model container for point-estimate checks, with
+    alpha known."""
     dim = gamma.dim + beta.dim
     return FittedModels(
         alpha=alpha, gamma=gamma, beta=beta,
         covariance=np.full((dim, dim), np.nan), blocks={},
-        estimated_blocks=("gamma", "beta"),
         diagnostics=FitDiagnostics(0, 0, {}, 0.5, 0.5, 1.0),
-        model_spec=spec, schema=schema, gspec=None, weight_cap=1e4)
+        design=Design(d, ModelSpec.default_for(d.schema)))
+
+
+def arm_means(fitted, which):
+    """(Yhat(1), Yhat(0)): the mean summands of one effect estimator, whose
+    difference is its tau."""
+    dz = fitted.design
+    gamma = None if which == "or" else fitted.gamma.coefficients
+    return tuple(float(s.mean()) for s in effect_summands(
+        which, dz, dz.weights(fitted.alpha.coefficients), gamma,
+        fitted.beta.coefficients))
 
 
 def two_row_dataset():
@@ -74,7 +87,7 @@ def two_row_fitted():
     gamma = LinearModelParams(np.array([0.0, 1.0]), spec.propensity_covariates)
     beta = LinearModelParams(np.array([0.5, 1.0, 0.25]),
                              spec.outcome_covariates, phi=1.0)
-    return make_fitted(alpha, gamma, beta, SCHEMA1, spec)
+    return make_fitted(two_row_dataset(), alpha, gamma, beta)
 
 
 def complete_dataset(n=120, seed=2):
@@ -88,30 +101,31 @@ def complete_dataset(n=120, seed=2):
 class TestWeeOr:
     def test_two_row_hand_values(self):
         # tests/oracles/oracle_hand_ate.py: tau = 1
-        est = tau_wee_or(two_row_dataset(), two_row_fitted(), with_se=False)
+        fitted = two_row_fitted()
+        est = tau_wee_or(fitted, with_se=False)
         assert est.tau == pytest.approx(1.0, abs=1e-12)
-        assert est.y1 - est.y0 == pytest.approx(est.tau, abs=0)
+        y1, y0 = arm_means(fitted, "or")
+        assert y1 - y0 == pytest.approx(est.tau, abs=0)
 
     def test_unit_weights_reduce_to_regression_difference(self):
+        # M forced to 1: the complete-case stack
         d = complete_dataset()
-        fitted = fit_wee(d, unit_missing_model=True, covariance=False)
-        est = tau_wee_or(d, fitted, with_se=False)
+        est = tau_cc(d, "or", with_se=False)
+        _, _, beta, _ = cc_parameter_fit(d)
         # linear outcome family: the summand difference is the treatment
         # coefficient for every row
-        assert est.tau == pytest.approx(fitted.beta.coefficients[1], abs=1e-12)
+        assert est.tau == pytest.approx(beta.coefficients[1], abs=1e-12)
 
 
 class TestWeeIpw:
     def test_two_row_hand_values(self):
         # tests/oracles/oracle_hand_ate.py
-        est = tau_wee_ipw(two_row_dataset(), two_row_fitted(), with_se=False)
-        assert est.y1 == pytest.approx(2.7357588823428847, abs=1e-14)
-        assert est.y0 == 0.0
-        assert est.tau == est.y1 - est.y0
-
-    def test_overlap_note_without_controls(self):
-        est = tau_wee_ipw(two_row_dataset(), two_row_fitted(), with_se=False)
-        assert any("no control" in note for note in est.notes)
+        fitted = two_row_fitted()
+        est = tau_wee_ipw(fitted, with_se=False)
+        y1, y0 = arm_means(fitted, "ipw")
+        assert y1 == pytest.approx(2.7357588823428847, abs=1e-14)
+        assert y0 == 0.0
+        assert est.tau == y1 - y0
 
     def test_extreme_propensity_weight(self):
         d = complete_dataset(n=30, seed=3)
@@ -121,9 +135,9 @@ class TestWeeIpw:
                                   spec.propensity_covariates)
         beta = LinearModelParams(np.array([0.0, 1.0, 0.0]),
                                  spec.outcome_covariates, phi=1.0)
-        fitted = make_fitted(alpha, gamma, beta, SCHEMA1, spec)
+        fitted = make_fitted(d, alpha, gamma, beta)
         with pytest.raises(ExtremeWeight):
-            tau_wee_ipw(d, fitted, with_se=False)
+            tau_wee_ipw(fitted, with_se=False)
 
 
 class TestWeeDr:
@@ -137,27 +151,16 @@ class TestWeeDr:
                                   spec.propensity_covariates)
         beta = LinearModelParams(np.array([0.5, 1.0, 0.25]),
                                  spec.outcome_covariates, phi=1.0)
-        return d, make_fitted(alpha, gamma, beta, SCHEMA1, spec)
+        return make_fitted(d, alpha, gamma, beta)
 
     def test_one_row_hand_values(self):
         # tests/oracles/oracle_hand_ate.py
-        d, fitted = self.one_row()
-        est = tau_wee_dr(d, fitted, with_se=False)
-        assert est.y1 == pytest.approx(2.5596775195676784, abs=1e-14)
-        assert est.y0 == pytest.approx(1.1367067206737387, abs=1e-14)
+        fitted = self.one_row()
+        est = tau_wee_dr(fitted, with_se=False)
+        y1, y0 = arm_means(fitted, "dr")
+        assert y1 == pytest.approx(2.5596775195676784, abs=1e-14)
+        assert y0 == pytest.approx(1.1367067206737387, abs=1e-14)
         assert est.tau == pytest.approx(1.4229707988939397, abs=1e-14)
-
-    def test_flipped_sign_matches_displayed_formula(self):
-        # independent scalar evaluation of the subtracted-augmentation form
-        d, fitted = self.one_row()
-        est = tau_wee_dr(d, fitted, with_se=False, y0_sign=-1.0)
-        M = expit(0.2 - 0.3 * 0.5 + 0.1 * 1.5)
-        H = expit(0.1 + 0.4 * 0.5)
-        O0 = 0.5 + 0.25 * 0.5
-        a, y = 1.0, 1.5
-        y0_minus = (1 / M) * ((1 - a) * y / (1 - H)
-                              - ((a - H) / (1 - H)) * O0)
-        assert est.y0 == pytest.approx(y0_minus, abs=1e-14)
 
     def test_zero_outcome_model_collapses_to_ipw(self):
         d = complete_dataset(n=80, seed=4)
@@ -167,20 +170,19 @@ class TestWeeDr:
         gamma = LinearModelParams(np.array([0.1, 0.5]),
                                   spec.propensity_covariates)
         beta = LinearModelParams(np.zeros(3), spec.outcome_covariates, phi=1.0)
-        fitted = make_fitted(alpha, gamma, beta, SCHEMA1, spec)
-        dr = tau_wee_dr(d, fitted, with_se=False)
-        ipw = tau_wee_ipw(d, fitted, with_se=False)
-        assert dr.y1 == ipw.y1 and dr.y0 == ipw.y0
+        fitted = make_fitted(d, alpha, gamma, beta)
+        assert arm_means(fitted, "dr") == arm_means(fitted, "ipw")
+        dr = tau_wee_dr(fitted, with_se=False)
+        assert dr.tau == tau_wee_ipw(fitted, with_se=False).tau
 
     def test_interval_contains_point(self):
-        d, _ = None, None
         data = complete_dataset(n=150, seed=5)
         miss = np.random.default_rng(6).random(150) < 0.25
         c = data.c.copy()
         c[miss, 0] = np.nan
         d = Dataset(data.a, data.y, c, SCHEMA1)
         fitted = fit_wee(d, covariance=False)
-        est = tau_wee_dr(d, fitted)
+        est = tau_wee_dr(fitted)
         assert est.se >= 0.0
         assert est.ci[0] <= est.tau <= est.ci[1]
 
@@ -188,10 +190,10 @@ class TestWeeDr:
 class TestReductionIdentity:
     def test_single_complete_dataset(self):
         d = complete_dataset(n=90, seed=7)
-        fitted = fit_wee(d, unit_missing_model=True, covariance=False)
+        fitted = fit_wee(d, known_alpha=UNIT_ALPHA, covariance=False)
         pairs = [(tau_wee_or, "or"), (tau_wee_ipw, "ipw"), (tau_wee_dr, "aipw")]
         for wee_fn, cc_method in pairs:
-            wee = wee_fn(d, fitted, with_se=False)
+            wee = wee_fn(fitted, with_se=False)
             cc = tau_cc(d, cc_method, with_se=False)
             assert abs(wee.tau - cc.tau) < 1e-10
 
@@ -207,8 +209,7 @@ class TestSandwichSe:
         a = (rng.random(n) < 0.5).astype(float)
         y = 0.3 + 1.2 * a - 0.5 * c1 + rng.normal(0.0, 1.0, n)
         d = Dataset(a=a, y=y, c=c1[:, None], schema=SCHEMA1)
-        fitted = fit_wee(d, unit_missing_model=True, covariance=False)
-        se = tau_wee_or(d, fitted).se
+        se = tau_cc(d, "or").se  # M forced to 1
         assert se == pytest.approx(0.33687086314338849, abs=1e-6)
 
 
@@ -540,21 +541,27 @@ class TestBootstrap:
             bootstrap_ci(buggy, d, B=10, seed=5)
 
 
-def numeric_bread_se(stack, theta_hat, d):
+def numeric_bread_se(stack, theta_hat):
     """The tau SE with the same equations but the central-difference bread."""
     system = EquationSystem(psi=stack.psi, dim=stack.dim)
-    return float(np.sqrt(sandwich_covariance(system, theta_hat, d)[-1, -1]))
+    return float(np.sqrt(sandwich_covariance(system, theta_hat)[-1, -1]))
 
 
-def effect_stack(fitted, which, y0_sign=1.0):
-    return WeeStack(fitted.model_spec, fitted.schema, fitted.gspec,
-                    estimate_alpha="alpha" in fitted.estimated_blocks,
-                    known_alpha_coef=None if fitted.alpha is None
-                    else fitted.alpha.coefficients,
-                    effect=which, y0_sign=y0_sign)
+def effect_stack(fitted, which):
+    return WeeStack(fitted.design, "alpha" in fitted.blocks,
+                    known_alpha_coef=fitted.alpha.coefficients, effect=which)
 
 
-EFFECTS = [("or", 1.0), ("ipw", 1.0), ("dr", 1.0), ("dr", -1.0)]
+def cc_stack(d, which):
+    """The complete-case stack of d (M forced to 1) and its fitted models."""
+    gamma, _, beta, _ = cc_parameter_fit(d)
+    dz = Design(d.complete_cases(), ModelSpec.default_for(d.schema))
+    return WeeStack(dz, estimate_alpha=False, effect=which), gamma, beta
+
+
+# the ids are those the cases had beside a sign-flipped DR variant
+EFFECTS = pytest.mark.parametrize("which", ["or", "ipw", "dr"],
+                                  ids=["or-1.0", "ipw-1.0", "dr-1.0"])
 
 
 class TestEffectRowJacobian:
@@ -567,33 +574,33 @@ class TestEffectRowJacobian:
         table2, _ = generate_table2("ompm", 600, seed=52)
         known = LinearModelParams(np.array([1.0, -2.0, 1.0, 3.0]),
                                   ("c1", "c2", "y"))
-        return [(cont, fit_wee(cont, covariance=False)),
-                (binary, fit_wee(binary, covariance=False)),
-                (table2, fit_wee(table2, known_alpha=known, covariance=False)),
-                (cont, fit_wee(cont, unit_missing_model=True, covariance=False))]
+        # the last fixture has M = 1 with the missing rows kept at weight 0
+        return [fit_wee(cont, covariance=False),
+                fit_wee(binary, covariance=False),
+                fit_wee(table2, known_alpha=known, covariance=False),
+                fit_wee(cont, known_alpha=UNIT_ALPHA, covariance=False)]
 
-    @pytest.mark.parametrize("which,sign", EFFECTS)
-    def test_jacobian_away_from_root(self, which, sign):
-        for d, fitted in self.fixtures():
-            stack = effect_stack(fitted, which, sign)
+    @EFFECTS
+    def test_jacobian_away_from_root(self, which):
+        for fitted in self.fixtures():
+            stack = effect_stack(fitted, which)
             theta = stack.pack(fitted.alpha, fitted.gamma, fitted.beta, tau=0.5)
             theta = theta + np.linspace(-0.05, 0.05, stack.dim)
-            closed = stack.jacobian(theta, d)
-            numeric = numeric_jacobian(stack.system(), theta, d)
+            closed = stack.jacobian(theta)
+            numeric = numeric_jacobian(stack.system(), theta)
             scale = np.abs(numeric).max()
             np.testing.assert_allclose(closed, numeric, rtol=1e-6,
                                        atol=1e-6 * scale)
 
-    @pytest.mark.parametrize("which,sign", EFFECTS)
-    def test_se_matches_numeric_bread(self, which, sign):
+    @EFFECTS
+    def test_se_matches_numeric_bread(self, which):
         fns = {"or": tau_wee_or, "ipw": tau_wee_ipw, "dr": tau_wee_dr}
-        for d, fitted in self.fixtures():
-            kwargs = {"y0_sign": sign} if which == "dr" else {}
-            est = fns[which](d, fitted, **kwargs)
-            stack = effect_stack(fitted, which, sign)
+        for fitted in self.fixtures():
+            est = fns[which](fitted)
+            stack = effect_stack(fitted, which)
             theta_hat = stack.pack(fitted.alpha, fitted.gamma, fitted.beta,
                                    tau=est.tau)
-            assert est.se == pytest.approx(numeric_bread_se(stack, theta_hat, d),
+            assert est.se == pytest.approx(numeric_bread_se(stack, theta_hat),
                                            rel=1e-6)
 
     @pytest.mark.parametrize("method", ["or", "ipw", "aipw"])
@@ -601,25 +608,23 @@ class TestEffectRowJacobian:
         for kind, seed in (("continuous", 53), ("binary", 54)):
             d, _ = generate_table1(kind, 600, seed=seed)
             est = tau_cc(d, method)
-            cc = d.complete_cases()
-            fitted = fit_wee(cc, unit_missing_model=True, covariance=False)
             which = {"or": "or", "ipw": "ipw", "aipw": "dr"}[method]
-            stack = effect_stack(fitted, which)
-            theta_hat = stack.pack(None, fitted.gamma, fitted.beta, tau=est.tau)
-            closed = stack.jacobian(theta_hat, cc)
-            numeric = numeric_jacobian(stack.system(), theta_hat, cc)
+            stack, gamma, beta = cc_stack(d, which)
+            theta_hat = stack.pack(None, gamma, beta, tau=est.tau)
+            closed = stack.jacobian(theta_hat)
+            numeric = numeric_jacobian(stack.system(), theta_hat)
             np.testing.assert_allclose(closed, numeric, rtol=1e-6,
                                        atol=1e-6 * np.abs(numeric).max())
-            assert est.se == pytest.approx(numeric_bread_se(stack, theta_hat, cc),
+            assert est.se == pytest.approx(numeric_bread_se(stack, theta_hat),
                                            rel=1e-6)
 
     def test_fit_covariance_matches_numeric_bread(self):
-        for d, fitted in self.fixtures():
+        for fitted in self.fixtures():
             stack = effect_stack(fitted, None)
             theta_hat = stack.pack(fitted.alpha, fitted.gamma, fitted.beta)
-            closed = sandwich_covariance(stack.system(), theta_hat, d)
+            closed = sandwich_covariance(stack.system(), theta_hat)
             numeric = sandwich_covariance(
-                EquationSystem(psi=stack.psi, dim=stack.dim), theta_hat, d)
+                EquationSystem(psi=stack.psi, dim=stack.dim), theta_hat)
             np.testing.assert_allclose(np.sqrt(np.diag(closed)),
                                        np.sqrt(np.diag(numeric)), rtol=1e-6)
 
@@ -675,7 +680,7 @@ class TestOrWithoutPropensity:
     def test_wee_or_matches_full_stack_oracle(self):
         or_tau_se = full_stack_oracle()
         for d, fitted, estimate_alpha in self.wee_fixtures():
-            est = tau_wee_or(d, fitted)
+            est = tau_wee_or(fitted)
             tau, se = or_tau_se(d.a, d.y, d.c, d.schema.missing_index,
                                 d.schema.outcome_family == "gaussian",
                                 fitted.alpha.coefficients,
@@ -698,30 +703,30 @@ class TestOrWithoutPropensity:
         assert est.se == pytest.approx(se, rel=1e-8)
 
     def test_stack_has_no_gamma_block(self):
-        spec = ModelSpec.default_for(SCHEMA1)
-        blocks = {which: WeeStack(spec, SCHEMA1, None, estimate_alpha=False,
-                                  effect=which).blocks
+        dz = Design(complete_dataset(), ModelSpec.default_for(SCHEMA1))
+        blocks = {which: WeeStack(dz, estimate_alpha=False, effect=which).blocks
                   for which in ("or", "ipw", "dr")}
         assert list(blocks["or"]) == ["beta", "tau"]
         assert list(blocks["ipw"]) == list(blocks["dr"]) == ["gamma", "beta", "tau"]
-        assert WeeStack(spec, SCHEMA1, None, False, effect="or").dim == 5
+        assert WeeStack(dz, False, effect="or").dim == 5
 
     def test_cc_or_fits_the_outcome_model_only(self, monkeypatch):
         calls = []
         original = estimators.fit_model
 
-        def counting(d, covariates, target, *args):
-            calls.append(target)
-            return original(d, covariates, target, *args)
+        def counting(X, observed, weights, family, covariates):
+            calls.append(covariates)
+            return original(X, observed, weights, family, covariates)
 
         monkeypatch.setattr(estimators, "fit_model", counting)
         d, _ = generate_table1("continuous", 300, seed=55)
+        propensity, outcome = ("c1",), ("a", "c1")
         tau_cc(d, "or")
-        assert calls == ["y"]
+        assert calls == [outcome]
         for method in ("ipw", "aipw"):
             calls.clear()
             tau_cc(d, method)
-            assert calls == ["a", "y"]
+            assert calls == [propensity, outcome]
 
     def test_separation_fails_ipw_but_not_or(self):
         d = separated_dataset()
@@ -745,9 +750,9 @@ class TestSandwichEvaluatesOnce:
         calls = []
         original = WeeStack.evaluate
 
-        def counting(self, theta, d, jacobian=False):
+        def counting(self, theta, jacobian=False):
             calls.append(jacobian)
-            return original(self, theta, d, jacobian=jacobian)
+            return original(self, theta, jacobian=jacobian)
 
         monkeypatch.setattr(WeeStack, "evaluate", counting)
         return calls
@@ -757,7 +762,7 @@ class TestSandwichEvaluatesOnce:
         fitted = fit_wee(d, covariance=False)
         for fn in (tau_wee_or, tau_wee_ipw, tau_wee_dr):
             evaluations.clear()
-            fn(d, fitted)
+            fn(fitted)
             assert evaluations == [True], fn.__name__
         for method in ("or", "ipw", "aipw"):
             evaluations.clear()
@@ -767,13 +772,62 @@ class TestSandwichEvaluatesOnce:
     def test_every_stack(self, evaluations):
         d, truth = generate_table1("continuous", 600, seed=50)
         known = LinearModelParams(np.asarray(truth.alpha), ("c1", "y"))
+        stacks = []
         for fitted in (fit_wee(d, covariance=False),
-                       fit_wee(d, known_alpha=known, covariance=False),
-                       fit_wee(d, unit_missing_model=True, covariance=False)):
-            for which in (None, "or", "ipw", "dr"):
-                stack = effect_stack(fitted, which)
-                theta = stack.pack(fitted.alpha, fitted.gamma, fitted.beta,
-                                   tau=None if which is None else 0.5)
-                evaluations.clear()
-                sandwich_covariance(stack.system(), theta, d)
-                assert evaluations == [True], which
+                       fit_wee(d, known_alpha=known, covariance=False)):
+            stacks += [(effect_stack(fitted, which), fitted.alpha, fitted.gamma,
+                        fitted.beta) for which in (None, "or", "ipw", "dr")]
+        for which in (None, "or", "ipw", "dr"):
+            stack, gamma, beta = cc_stack(d, which)
+            stacks.append((stack, None, gamma, beta))
+        for stack, alpha, gamma, beta in stacks:
+            theta = stack.pack(alpha, gamma, beta,
+                               tau=None if stack.effect is None else 0.5)
+            evaluations.clear()
+            sandwich_covariance(stack.system(), theta)
+            assert evaluations == [True], stack.effect
+
+
+class TestOneDesignPerFit:
+    """One Design per dataset: a fit and the three WEE estimators with their
+    SEs build each design matrix once, and a complete-case estimate builds
+    its matrices once on the complete cases."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from mnarcause import glm, wee
+        calls = []
+        original = glm.design_matrix
+
+        def counting(d, covariates):
+            calls.append(covariates)
+            return original(d, covariates)
+
+        for module in (glm, wee, estimators):
+            monkeypatch.setattr(module, "design_matrix", counting)
+        return calls
+
+    @staticmethod
+    def fit_and_estimate(d, **kwargs):
+        fitted = fit_wee(d, covariance=False, **kwargs)
+        for fn in (tau_wee_or, tau_wee_ipw, tau_wee_dr):
+            fn(fitted)
+
+    def test_known_alpha(self, builds):
+        d, _ = generate_table2("ocpc", 2000, 3)
+        known = LinearModelParams(np.asarray(TABLE2_ALPHA), ("c1", "c2", "y"))
+        self.fit_and_estimate(d, known_alpha=known)
+        # missing, propensity and outcome models
+        assert len(builds) == 3 and len(set(builds)) == 3
+
+    def test_estimated_alpha(self, builds):
+        d, _ = generate_table1("continuous", 2000, 1)
+        self.fit_and_estimate(d)
+        # the three models and the starting logit fit of r on (y)
+        assert sorted(builds) == sorted([("c1", "y"), ("c1",), ("a", "c1"), ("y",)])
+
+    @pytest.mark.parametrize("method,count", [("or", 1), ("ipw", 2), ("aipw", 2)])
+    def test_complete_case(self, builds, method, count):
+        d, _ = generate_table1("continuous", 2000, 1)
+        tau_cc(d, method)
+        assert len(builds) == count

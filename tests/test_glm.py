@@ -20,7 +20,7 @@ from mnarcause import (
     design_matrix,
     fit_model,
 )
-from mnarcause.glm import BERNOULLI, GAUSSIAN, expit, weighted_glm_fit
+from mnarcause.glm import BERNOULLI, GAUSSIAN, expit
 
 
 def _load_per_row_oracle():
@@ -49,6 +49,7 @@ ORACLE_WEIGHTED = (0.17902939645982596, 0.1556999067122593,
                    -0.37092633104177675)
 
 DESIGN20 = np.column_stack([np.ones(20), X1, X2])
+COVS20 = ("x1", "x2")
 
 
 class TestExpit:
@@ -185,7 +186,7 @@ class TestScore:
         assert np.allclose(summed, grad, rtol=1e-6, atol=1e-8)
 
     def test_score_root_after_fit(self):
-        fit = weighted_glm_fit(DESIGN20, T, W, BERNOULLI)
+        fit = fit_model(DESIGN20, T, W, BERNOULLI, COVS20)
         summed = (W[:, None] * per_row.score_matrix(
             fit.coefficients, DESIGN20, T, logistic=True)).sum(axis=0)
         assert np.max(np.abs(summed)) < 1e-8
@@ -195,17 +196,17 @@ class TestWeightedGlmFit:
     def test_exact_interpolation(self):
         beta_star = np.array([0.5, -1.2, 2.0])
         y = DESIGN20 @ beta_star
-        fit = weighted_glm_fit(DESIGN20, y, np.ones(20), GAUSSIAN)
+        fit = fit_model(DESIGN20, y, np.ones(20), GAUSSIAN, COVS20)
         assert np.allclose(fit.coefficients, beta_star, atol=1e-10)
         assert fit.phi == pytest.approx(0.0, abs=1e-18)
 
     def test_unit_weight_logit_matches_reference(self):
         # frozen from tests/oracles/oracle_logit_fit.py
-        fit = weighted_glm_fit(DESIGN20, T, np.ones(20), BERNOULLI)
+        fit = fit_model(DESIGN20, T, np.ones(20), BERNOULLI, COVS20)
         assert np.allclose(fit.coefficients, ORACLE_UNWEIGHTED, atol=1e-6)
 
     def test_weighted_logit_matches_reference(self):
-        fit = weighted_glm_fit(DESIGN20, T, W, BERNOULLI)
+        fit = fit_model(DESIGN20, T, W, BERNOULLI, COVS20)
         assert np.allclose(fit.coefficients, ORACLE_WEIGHTED, atol=1e-6)
 
     def test_duplicate_row_equals_double_weight(self):
@@ -213,8 +214,8 @@ class TestWeightedGlmFit:
         t2x = np.append(T, T[3])
         w = np.ones(20)
         w[3] = 2.0
-        by_weight = weighted_glm_fit(DESIGN20, T, w, BERNOULLI)
-        by_dup = weighted_glm_fit(X2x, t2x, np.ones(21), BERNOULLI)
+        by_weight = fit_model(DESIGN20, T, w, BERNOULLI, COVS20)
+        by_dup = fit_model(X2x, t2x, np.ones(21), BERNOULLI, COVS20)
         assert np.allclose(by_weight.coefficients, by_dup.coefficients,
                            atol=1e-10)
 
@@ -222,8 +223,8 @@ class TestWeightedGlmFit:
         # intercept-only, w=(1,1,2), y=(0,1,4): mean 2.25, phi 3.1875
         # (tests/oracles/oracle_hand_ate.py)
         X = np.ones((3, 1))
-        fit = weighted_glm_fit(X, np.array([0.0, 1.0, 4.0]),
-                               np.array([1.0, 1.0, 2.0]), GAUSSIAN)
+        fit = fit_model(X, np.array([0.0, 1.0, 4.0]), np.array([1.0, 1.0, 2.0]),
+                        GAUSSIAN, ())
         assert fit.coefficients[0] == pytest.approx(2.25)
         assert fit.phi == pytest.approx(3.1875)
 
@@ -234,22 +235,22 @@ class TestWeightedGlmFit:
         t = (x > 0).astype(float)
         X = np.column_stack([np.ones(12), x])
         with pytest.raises(Separation):
-            weighted_glm_fit(X, t, np.ones(12), BERNOULLI)
+            fit_model(X, t, np.ones(12), BERNOULLI, ("x",))
 
     def test_rank_deficient(self):
         X = np.column_stack([np.ones(20), X1, 2.0 * X1])
         with pytest.raises(RankDeficient):
-            weighted_glm_fit(X, T, np.ones(20), GAUSSIAN)
+            fit_model(X, T, np.ones(20), GAUSSIAN, ("x1", "x1_twice"))
 
     def test_zero_total_weight(self):
         with pytest.raises(RankDeficient):
-            weighted_glm_fit(DESIGN20, T, np.zeros(20), BERNOULLI)
+            fit_model(DESIGN20, T, np.zeros(20), BERNOULLI, COVS20)
 
     def test_negative_weight_rejected(self):
         w = np.ones(20)
         w[0] = -0.5
         with pytest.raises(DimensionMismatch):
-            weighted_glm_fit(DESIGN20, T, w, BERNOULLI)
+            fit_model(DESIGN20, T, w, BERNOULLI, COVS20)
 
 
 class TestDesignMatrix:
@@ -315,8 +316,8 @@ class TestFitModel:
         y = 1.0 + 0.5 * a - 0.3 * c1 + rng.normal(0, 1, 60)
         d = Dataset(a=a, y=y, c=c1[:, None], schema=schema)
         ones = np.ones(60)
-        gam = fit_model(d, ("c1",), "a", ones, BERNOULLI)
-        bet = fit_model(d, ("a", "c1"), "y", ones, GAUSSIAN)
+        gam = fit_model(design_matrix(d, ("c1",)), d.a, ones, BERNOULLI, ("c1",))
+        bet = fit_model(design_matrix(d, ("a", "c1")), d.y, ones, GAUSSIAN,
+                        ("a", "c1"))
         assert gam.dim == 2 and bet.dim == 3 and bet.phi > 0
-        with pytest.raises(SchemaMismatch):
-            fit_model(d, ("c1",), "zzz", ones, GAUSSIAN)
+        assert gam.covariates == ("c1",) and bet.covariates == ("a", "c1")

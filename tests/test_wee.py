@@ -11,6 +11,7 @@ import pytest
 
 from mnarcause import (
     Dataset,
+    Design,
     DimensionMismatch,
     ExtremeWeight,
     GSpec,
@@ -20,15 +21,14 @@ from mnarcause import (
     NoConvergence,
     Schema,
     WeeStack,
-    cc_parameter_fit,
     default_G,
+    fit_model,
     fit_wee,
     generate_table1,
-    missing_weights,
     numeric_jacobian,
     resample,
 )
-from mnarcause.glm import GAUSSIAN, expit, weighted_glm_fit
+from mnarcause.glm import GAUSSIAN, expit
 from mnarcause.wee import g_matrix
 
 
@@ -122,9 +122,9 @@ class TestPsiMissing:
         schema = Schema("a", "y", ("c1",), "c1")
         d = Dataset(a=np.array([1.0]), y=np.array([2.0]),
                     c=np.array([[c1]]), schema=schema)
-        stack = WeeStack(ModelSpec.default_for(schema), schema,
-                         GSpec(("1", "a", "y")), estimate_alpha=True)
-        return stack.moment_system().psi(np.asarray(alpha_coef, dtype=float), d)[0]
+        dz = Design(d, ModelSpec.default_for(schema), GSpec(("1", "a", "y")))
+        stack = WeeStack(dz, estimate_alpha=True)
+        return stack.moment_system().psi(np.asarray(alpha_coef, dtype=float))[0]
 
     def test_missing_row_is_minus_g(self):
         psi = self.first_row(np.nan, np.zeros(3))
@@ -144,7 +144,7 @@ class TestPsiMissing:
         spec = ModelSpec.default_for(SCHEMA2)
         gspec = default_G(spec, SCHEMA2)
         alpha_coef = np.array([0.4, -0.8, 0.3, 0.6])
-        mat = WeeStack(spec, SCHEMA2, gspec, True).moment_system().psi(alpha_coef, d)
+        mat = WeeStack(Design(d, spec, gspec), True).moment_system().psi(alpha_coef)
         rows = np.vstack([
             per_row.stage_one_row(d, i, alpha_coef, spec.missing_covariates,
                                   gspec.components)
@@ -157,7 +157,7 @@ class TestPsiWeightedScores:
     def test_zero_on_missing_rows(self):
         d, _ = two_confounder_dataset(n=50, seed=4)
         spec = ModelSpec.default_for(SCHEMA2)
-        stack = WeeStack(spec, SCHEMA2, default_G(spec, SCHEMA2),
+        stack = WeeStack(Design(d, spec, default_G(spec, SCHEMA2)),
                          estimate_alpha=True)
         alpha = LinearModelParams(np.array([0.5, -0.5, 0.2, 0.3]),
                                   spec.missing_covariates)
@@ -165,7 +165,7 @@ class TestPsiWeightedScores:
                                   spec.propensity_covariates)
         beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
                                  spec.outcome_covariates, phi=1.3)
-        psi = stack.psi(stack.pack(alpha, gamma, beta), d)
+        psi = stack.psi(stack.pack(alpha, gamma, beta))
         missing = d.r == 0
         assert missing.any()
         assert not psi[missing, stack.blocks["gamma"]].any()
@@ -175,7 +175,7 @@ class TestPsiWeightedScores:
         d, _ = two_confounder_dataset(n=40, seed=5)
         spec = ModelSpec.default_for(SCHEMA2)
         gspec = default_G(spec, SCHEMA2)
-        stack = WeeStack(spec, SCHEMA2, gspec, estimate_alpha=True)
+        stack = WeeStack(Design(d, spec, gspec), estimate_alpha=True)
         alpha = LinearModelParams(np.array([0.4, -0.6, 0.2, 0.5]),
                                   spec.missing_covariates)
         gamma = LinearModelParams(np.array([0.2, 0.3, -0.2]),
@@ -183,7 +183,7 @@ class TestPsiWeightedScores:
         beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
                                  spec.outcome_covariates, phi=1.3)
         theta = stack.pack(alpha, gamma, beta)
-        batched = stack.psi(theta, d)
+        batched = stack.psi(theta)
         models = (alpha.coefficients, alpha.covariates)
         for i in range(d.n):
             np.testing.assert_allclose(
@@ -201,16 +201,18 @@ class TestPsiWeightedScores:
 
 
 class TestMissingWeights:
+    """r/M from Design.weights."""
+
     def test_none_coefficients_mean_unit_weights(self):
         d, _ = two_confounder_dataset(n=25, seed=7)
         spec = ModelSpec.default_for(SCHEMA2)
-        w = missing_weights(None, d, spec)
+        w = Design(d, spec).weights(None)
         assert np.array_equal(w, d.r)
 
     def test_zero_on_missing_positive_on_complete(self):
         d, _ = two_confounder_dataset(n=25, seed=8)
         spec = ModelSpec.default_for(SCHEMA2)
-        w = missing_weights(np.array([0.5, -0.5, 0.2, 0.3]), d, spec)
+        w = Design(d, spec).weights(np.array([0.5, -0.5, 0.2, 0.3]))
         assert np.all(w[d.r == 0] == 0.0)
         assert np.all(w[d.r == 1] > 1.0)  # 1/M > 1 whenever M < 1
 
@@ -251,7 +253,7 @@ class TestFitWee:
         alpha = LinearModelParams(np.array([1.0, -1.0, 0.5, 0.5]),
                                   spec.missing_covariates)
         fitted = fit_wee(d, known_alpha=alpha, covariance=False)
-        assert fitted.estimated_blocks == ("gamma", "beta")
+        assert tuple(fitted.blocks) == ("gamma", "beta")
         assert fitted.alpha is alpha
 
     def test_known_alpha_covariates_checked(self):
@@ -259,15 +261,6 @@ class TestFitWee:
         bad = LinearModelParams(np.array([1.0, -1.0]), ("c2",))
         with pytest.raises(DimensionMismatch):
             fit_wee(d, known_alpha=bad)
-
-    def test_unit_missing_model_equals_complete_case_fit(self):
-        d, _ = two_confounder_dataset(n=300, seed=14)
-        fitted = fit_wee(d, unit_missing_model=True, covariance=False)
-        gamma_cc, _, beta_cc, _ = cc_parameter_fit(d)
-        assert np.allclose(fitted.gamma.coefficients, gamma_cc.coefficients,
-                           atol=1e-10)
-        assert np.allclose(fitted.beta.coefficients, beta_cc.coefficients,
-                           atol=1e-10)
 
     def test_extreme_weight_during_fit(self):
         d, _ = two_confounder_dataset(n=100, seed=15)
@@ -303,8 +296,8 @@ class TestFitWee:
         assert np.allclose(f2.beta.coefficients, 2.0 * f1.beta.coefficients,
                            atol=1e-6)
         assert f2.beta.phi == pytest.approx(4.0 * f1.beta.phi, rel=1e-6)
-        w1 = f1.weights(d)
-        w2 = f2.weights(doubled)
+        w1 = f1.design.weights(f1.alpha.coefficients)
+        w2 = f2.design.weights(f2.alpha.coefficients)
         mask = d.r == 1
         assert np.max(np.abs(w1[mask] - w2[mask]) / w1[mask]) < 1e-6
 
@@ -323,7 +316,7 @@ class TestFitWee:
                     schema=Schema("a", "y", ("c1",), "c1"))
         fitted = fit_wee(d, covariance=False)
         X = np.column_stack([np.ones(n), a, c1])
-        oracle = weighted_glm_fit(X, y, np.ones(n), GAUSSIAN)
+        oracle = fit_model(X, y, np.ones(n), GAUSSIAN, ("a", "c1"))
         assert np.allclose(fitted.beta.coefficients, oracle.coefficients,
                            atol=0.05)
         # the confounder coefficient of the missing model is truly zero
@@ -340,11 +333,11 @@ class TestGMatrix:
         assert np.array_equal(mat, rows)
 
 
-def jacobian_oracle_check(system, theta, d):
+def jacobian_oracle_check(system, theta):
     """The closed-form Jacobian equals the central-difference one to 1e-6
     relative, entries near zero judged against the largest entry."""
-    closed = system.jacobian(theta, d)
-    numeric = numeric_jacobian(system, theta, d)
+    closed = system.jacobian(theta)
+    numeric = numeric_jacobian(system, theta)
     scale = np.abs(numeric).max()
     np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=1e-6 * scale)
 
@@ -367,9 +360,9 @@ class TestClosedFormJacobians:
                   generate_table1("binary", 500, seed=42)[0]):
             spec = ModelSpec.default_for(d.schema)
             gspec = default_G(spec, d.schema)
-            system = WeeStack(spec, d.schema, gspec, True).moment_system()
+            system = WeeStack(Design(d, spec, gspec), True).moment_system()
             alpha = np.linspace(0.4, -0.3, gspec.dim)
-            jacobian_oracle_check(system, alpha, d)
+            jacobian_oracle_check(system, alpha)
 
     @pytest.mark.parametrize("family", ["gaussian", "binary"])
     @pytest.mark.parametrize("mode", ["estimated", "known", "unit"])
@@ -388,25 +381,25 @@ class TestClosedFormJacobians:
         beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
                                  spec.outcome_covariates, phi=phi)
         known = alpha.coefficients if mode == "known" else None
-        stack = WeeStack(spec, d.schema, gspec, mode == "estimated",
+        stack = WeeStack(Design(d, spec, gspec), mode == "estimated",
                          known_alpha_coef=known)
         theta = stack.pack(alpha, gamma, beta)
-        jacobian_oracle_check(stack.system(), theta, d)
+        jacobian_oracle_check(stack.system(), theta)
 
     def test_alpha_block_is_stage_one(self):
         d, _ = two_confounder_dataset(n=200, seed=45)
         spec = ModelSpec.default_for(SCHEMA2)
         gspec = default_G(spec, SCHEMA2)
-        stack = WeeStack(spec, SCHEMA2, gspec, True)
+        stack = WeeStack(Design(d, spec, gspec), True)
         alpha = np.array([0.5, -0.4, 0.2, 0.3])
         theta = np.concatenate([alpha, [0.1, 0.2, -0.1],
                                 [0.3, 1.1, 0.6, -0.5, 1.2]])
         a = stack.blocks["alpha"]
         np.testing.assert_array_equal(
-            stack.jacobian(theta, d)[a, a],
-            stack.moment_system().jacobian(alpha, d))
+            stack.jacobian(theta)[a, a],
+            stack.moment_system().jacobian(alpha))
         np.testing.assert_array_equal(
-            stack.psi(theta, d)[:, a], stack.moment_system().psi(alpha, d))
+            stack.psi(theta)[:, a], stack.moment_system().psi(alpha))
 
 
 class TestStageOneWarnings:
