@@ -37,7 +37,7 @@ from .simlab import (
     example1_grid_compare,
     run_monte_carlo,
 )
-from .wee import GSpec, default_G, fit_wee
+from .wee import Design, GSpec, default_G, fit_wee
 
 FIT_METHODS = ("wee-or", "wee-ipw", "wee-dr", "cc-or", "cc-ipw", "cc-aipw",
                "mi-or", "mi-ipw", "mi-aipw")
@@ -238,13 +238,14 @@ def cmd_fit(args) -> int:
     mi_opts = MiOptions(m=10 if args.mi_m is None else args.mi_m,
                         k=5 if args.mi_k is None else args.mi_k, seed=args.seed)
 
-    rows, estimates = _point_estimates(d, methods, model_spec, gspec, mi_opts,
-                                       args.seed)
+    # one Design of the data, which every WEE and CC estimate reads, on the
+    # data and, as counts, on each bootstrap resample
+    dz = Design(d, model_spec, gspec)
+    rows, estimates = _point_estimates(d, dz, methods, mi_opts, args.seed)
     boots = {}
     if args.bootstrap:
-        for members, estimator in _boot_groups(methods, model_spec, gspec,
-                                               mi_opts):
-            res = bootstrap_ci(estimator, d, args.bootstrap, args.seed)
+        for members, data, estimator in _boot_groups(d, dz, methods, mi_opts):
+            res = bootstrap_ci(estimator, data, args.bootstrap, args.seed)
             boots.update((m, res.component(k)) for k, m in enumerate(members))
     rows += [_ate_row(m, estimates[m], boots.get(m)) for m in methods]
     if args.out:
@@ -255,36 +256,38 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _point_estimates(d, methods, model_spec, gspec, mi_opts, seed) -> tuple:
+def _point_estimates(d, dz, methods, mi_opts, seed) -> tuple:
     """The model rows of the full-data fit and each method's estimate with
-    its standard error. The fit, with its Design, and the imputations are
-    freed on return, before any bootstrap resample is drawn."""
-    fitted = fit_wee(d, model_spec, gspec, restart_seed=seed)
+    its standard error. The fit and the imputations are freed on return,
+    before any bootstrap resample is drawn; the Design dz of the data is
+    kept for the resamples."""
+    fitted = fit_wee(dz, restart_seed=seed)
     shared = {"wee": fitted}
     estimates = {}
     for m in methods:
         kind = m.split("-")[0]
+        data = d if kind == "mi" else dz
         if kind not in shared:
-            shared[kind] = _shared_step(kind, d, model_spec, gspec, mi_opts)
-        estimates[m] = _estimate(m, d, shared[kind], model_spec, mi_opts,
-                                 with_se=True)
+            shared[kind] = _shared_step(kind, data, mi_opts)
+        estimates[m] = _estimate(m, data, shared[kind], mi_opts, with_se=True)
     return _model_rows(fitted), estimates
 
 
-def _shared_step(kind, d, model_spec, gspec, mi_opts):
+def _shared_step(kind, data, mi_opts):
     """The costly step that the estimators of one kind share on a dataset:
     the stage-one and stage-two fit of the WEE estimators (without its
-    covariance) and the imputations of the MI ones; CC estimators share
-    none."""
+    covariance) on a Design and the imputations of the MI ones on a
+    Dataset; CC estimators share none."""
     if kind == "wee":
-        return fit_wee(d, model_spec, gspec, covariance=False)
+        return fit_wee(data, covariance=False)
     if kind == "mi":
-        return impute_pmm(d, mi_opts)
+        return impute_pmm(data, mi_opts)
     return None
 
 
-def _estimate(method, d, shared, model_spec, mi_opts, with_se: bool):
-    """One estimator on d, given the step shared by its kind."""
+def _estimate(method, data, shared, mi_opts, with_se: bool):
+    """One estimator, given the step shared by its kind; data is the
+    Design a CC estimator reads, or the Dataset an MI one imputes."""
     if method == "wee-or":
         return tau_wee_or(shared, with_se=with_se)
     if method == "wee-ipw":
@@ -292,15 +295,16 @@ def _estimate(method, d, shared, model_spec, mi_opts, with_se: bool):
     if method == "wee-dr":
         return tau_wee_dr(shared, with_se=with_se)
     if method.startswith("cc-"):
-        return tau_cc(d, method[3:], model_spec, with_se=with_se)
-    return tau_mi(d, method[3:], mi_opts, model_spec, with_se=with_se,
-                  completed=shared)
+        return tau_cc(data, method[3:], with_se=with_se)
+    return tau_mi(data, method[3:], mi_opts, with_se=with_se, completed=shared)
 
 
-def _boot_groups(methods, model_spec, gspec, mi_opts) -> list:
-    """(members, estimator) pairs for bootstrap_ci, one per group of
-    estimators that share their costly step on a resample: all WEE
-    estimators, all MI estimators, and each CC estimator on its own. The
+def _boot_groups(d, dz, methods, mi_opts) -> list:
+    """(members, data, estimator) triples for bootstrap_ci, one per group
+    of estimators that share their costly step on a resample: all WEE
+    estimators, all MI estimators, and each CC estimator on its own. WEE
+    and CC resample the Design dz, as counts; MI resamples the Dataset d,
+    as a copy in draw order, on which its donor matching depends. The
     estimator returns one tau per member; bootstrap_ci leaves a resample on
     which any member fails out of the whole group."""
     groups = {}
@@ -308,16 +312,19 @@ def _boot_groups(methods, model_spec, gspec, mi_opts) -> list:
         kind = m.split("-")[0]
         groups.setdefault(m if kind == "cc" else kind, []).append(m)
 
-    def estimator(members):
-        kind = members[0].split("-")[0]
-
-        def run(boot_d):
-            shared = _shared_step(kind, boot_d, model_spec, gspec, mi_opts)
-            return [_estimate(m, boot_d, shared, model_spec, mi_opts,
-                              with_se=False).tau for m in members]
+    def estimator(kind, members):
+        def run(boot):
+            shared = _shared_step(kind, boot, mi_opts)
+            return [_estimate(m, boot, shared, mi_opts, with_se=False).tau
+                    for m in members]
         return run
 
-    return [(members, estimator(members)) for members in groups.values()]
+    triples = []
+    for members in groups.values():
+        kind = members[0].split("-")[0]
+        triples.append((members, d if kind == "mi" else dz,
+                        estimator(kind, members)))
+    return triples
 
 
 def _raw_path(out: str) -> str:

@@ -1,5 +1,5 @@
 """Dataset model: CSV ingestion/emission, missingness bookkeeping, and
-bootstrap resampling.
+the bootstrap draw.
 
 A Dataset holds treatment a, outcome y, a confounder matrix c whose single
 designated column may contain missing cells, and the derived indicator r
@@ -200,8 +200,14 @@ def missingness_summary(d: Dataset) -> MissingnessSummary:
     )
 
 
-def resample(d: Dataset, seed) -> Dataset:
-    """n rows drawn i.i.d. with replacement; deterministic per seed."""
+def resample(n: int, seed) -> np.ndarray:
+    """The row indices of one bootstrap resample of n rows: n draws i.i.d.
+    with replacement, in draw order; deterministic per seed.
+
+    A resample is not copied. The weighted and complete-case estimators
+    read it as counts on the full-data Design, f = bincount(idx), each row
+    counted as often as it was drawn (wee.Design.resampled). Multiple
+    imputation alone copies it, d.subset(idx), in draw order, because its
+    donor ranking, tie rule and random draws depend on row order."""
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, d.n, size=d.n)
-    return d.subset(idx)
+    return rng.integers(0, n, size=n)

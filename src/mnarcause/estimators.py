@@ -7,11 +7,18 @@ estimators with M forced to 1 on the complete cases, which gives the
 textbook unweighted formulas; multiple imputation applies them to each
 completed dataset. Every sandwich standard error comes from one stacked
 system, the fit's equations plus a tau row, with its closed-form Jacobian
-as the bread; the WEE stacks read the Design of the fit, and each
-complete-case estimate builds one Design on the complete cases. OR reads
-no propensity model, so its system has no propensity block and the
-complete-case OR fits none. Bootstrap intervals are provided for all
-estimators.
+as the bread; the WEE stacks read the Design of the fit, and a
+complete-case estimate reads the complete cases of the same Design. OR
+reads no propensity model, so its system has no propensity block and the
+complete-case OR fits none.
+
+Bootstrap intervals are provided for all estimators. The WEE and CC
+estimators read a resample as counts on the full-data Design
+(wee.Design.resampled), which keeps the rows drawn at least once and
+counts each as often as it was drawn: every fit and average over them
+equals the one over the copy, and none is copied. MI alone expands the
+draw into a copy in draw order, because predictive mean matching ranks
+donors, breaks ties and draws at random by row order.
 """
 
 from __future__ import annotations
@@ -57,10 +64,11 @@ class AteEstimate:
         return AteEstimate(self.tau, self.method, se, ci)
 
 
-def _check_propensity_cap(d: Dataset, H: np.ndarray):
-    mask = d.r == 1
-    t = mask & (d.a == 1)
-    c = mask & (d.a == 0)
+def _check_propensity_cap(dz: Design, H: np.ndarray):
+    """1/H and 1/(1-H) on each row of the Design, never its count times
+    them."""
+    t = dz.complete & (dz.a == 1)
+    c = dz.complete & (dz.a == 0)
     with np.errstate(divide="ignore"):
         if t.any() and (1.0 / H[t]).max() > DEFAULT_WEIGHT_CAP:
             raise ExtremeWeight("propensity weight 1/H beyond cap")
@@ -68,21 +76,21 @@ def _check_propensity_cap(d: Dataset, H: np.ndarray):
             raise ExtremeWeight("propensity weight 1/(1-H) beyond cap")
 
 
-def _estimate(stack: WeeStack, alpha, gamma, beta, method: str,
+def _estimate(stack: WeeStack, w: np.ndarray, alpha, gamma, beta, method: str,
               with_se: bool) -> AteEstimate:
     """Point estimate of the effect estimator in the stack's tau row and,
     with with_se, its standard error from the stacked sandwich: the tau
     equation is summand minus tau, so every estimated block's uncertainty
-    propagates. alpha None means M is forced to 1."""
+    propagates. w holds the weights r/M on the stack's Design; alpha None
+    means M is forced to 1."""
     dz = stack.design
-    w = dz.weights(None if alpha is None else alpha.coefficients)
     if w.max() > DEFAULT_WEIGHT_CAP:
         raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {DEFAULT_WEIGHT_CAP:.3g}")
     gamma_coef = None
     if stack.effect in ("ipw", "dr"):
         gamma_coef = gamma.coefficients
-        _check_propensity_cap(dz.d, expit(dz.Xg @ gamma_coef))
-    y1, y0 = (float(s.mean()) for s in effect_summands(
+        _check_propensity_cap(dz, expit(dz.Xg @ gamma_coef))
+    y1, y0 = (float(dz.average(s)) for s in effect_summands(
         stack.effect, dz, w, gamma_coef, beta.coefficients))
     est = AteEstimate(tau=y1 - y0, method=method)
     if not with_se:
@@ -95,8 +103,8 @@ def _estimate(stack: WeeStack, alpha, gamma, beta, method: str,
 def _wee_estimate(fitted: FittedModels, which: str, with_se: bool) -> AteEstimate:
     stack = WeeStack(fitted.design, "alpha" in fitted.blocks,
                      known_alpha_coef=fitted.alpha.coefficients, effect=which)
-    return _estimate(stack, fitted.alpha, fitted.gamma, fitted.beta,
-                     f"wee-{which}", with_se)
+    return _estimate(stack, fitted.weights, fitted.alpha, fitted.gamma,
+                     fitted.beta, f"wee-{which}", with_se)
 
 
 def tau_wee_or(fitted: FittedModels, with_se: bool = True) -> AteEstimate:
@@ -126,29 +134,35 @@ _CC_EFFECTS = {"or": "or", "ipw": "ipw", "aipw": "dr"}
 
 def _cc_fits(dz: Design, propensity: bool = True):
     """Unweighted propensity and outcome fits on the Design of the complete
-    cases; without propensity, gamma is None (OR reads the outcome model
-    only)."""
-    cc, spec = dz.d, dz.model_spec
-    ones = np.ones(cc.n)
+    cases, each row weighted by its count; without propensity, gamma is
+    None (OR reads the outcome model only)."""
+    spec = dz.model_spec
     gamma = None
     if propensity:
-        gamma = fit_model(dz.Xg, cc.a, ones, BERNOULLI, spec.propensity_covariates)
-    beta = fit_model(dz.Xb, cc.y, ones, spec.outcome_family, spec.outcome_covariates)
+        gamma = fit_model(dz.Xg, dz.a, dz.counts, BERNOULLI,
+                          spec.propensity_covariates)
+    beta = fit_model(dz.Xb, dz.y, dz.counts, spec.outcome_family,
+                     spec.outcome_covariates)
     return gamma, beta
 
 
-def tau_cc(d: Dataset, method: str, model_spec: ModelSpec = None,
+def tau_cc(d: Dataset | Design, method: str, model_spec: ModelSpec = None,
            with_se: bool = True) -> AteEstimate:
     """Complete-case estimate: drop rows with the confounder missing, fit
     unweighted models, apply the standard OR, Horvitz-Thompson IPW, or
-    AIPW formula."""
+    AIPW formula. d is a Dataset, or a Design (of the full data or of a
+    bootstrap resample) whose complete cases are read; model_spec is read
+    only with a Dataset."""
     if method not in _CC_EFFECTS:
         raise BadConfig(f"unknown method {method!r}")
-    model_spec = model_spec or ModelSpec.default_for(d.schema)
-    dz = Design(d.complete_cases(), model_spec)
+    if isinstance(d, Design):
+        dz = d.complete_cases()
+    else:
+        dz = Design(d.complete_cases(), model_spec or ModelSpec.default_for(d.schema))
     gamma, beta = _cc_fits(dz, propensity=method != "or")
     stack = WeeStack(dz, estimate_alpha=False, effect=_CC_EFFECTS[method])
-    return _estimate(stack, None, gamma, beta, f"cc-{method}", with_se)
+    return _estimate(stack, dz.weights(None), None, gamma, beta, f"cc-{method}",
+                     with_se)
 
 
 def cc_parameter_fit(d: Dataset, model_spec: ModelSpec = None):
@@ -158,8 +172,8 @@ def cc_parameter_fit(d: Dataset, model_spec: ModelSpec = None):
     model_spec = model_spec or ModelSpec.default_for(d.schema)
     dz = Design(d.complete_cases(), model_spec)
     gamma, beta = _cc_fits(dz)
-    se_gamma = _model_based_se(dz.Xg, gamma, BERNOULLI, dz.d.a)
-    se_beta = _model_based_se(dz.Xb, beta, model_spec.outcome_family, dz.d.y)
+    se_gamma = _model_based_se(dz.Xg, gamma, BERNOULLI, dz.a)
+    se_beta = _model_based_se(dz.Xb, beta, model_spec.outcome_family, dz.y)
     return gamma, se_gamma, beta, se_beta
 
 
@@ -359,11 +373,19 @@ def _percentile_summary(est: np.ndarray) -> tuple:
     return se, float(lo), float(hi)
 
 
-def bootstrap_ci(estimator, d: Dataset, B: int, seed: int) -> BootstrapResult:
+def bootstrap_ci(estimator, d: Dataset | Design, B: int, seed: int) -> BootstrapResult:
     """Nonparametric bootstrap: B resamples with replacement, estimator
     failures excluded up to a 10% ceiling, percentile interval as the inverse
     of the bootstrap CDF (Efron & Tibshirani 1993, sec. 13.3): Hyndman & Fan
     (1996) type 1, so both endpoints are elements of the estimates.
+
+    Resample b draws the row indices idx = resample(d.n, SeedSequence((seed,
+    b))). On the full-data Design of the WEE and CC estimators it is counts,
+    d.resampled(idx): the rows drawn at least once, each counted as often as
+    it was drawn, with no row copied and no matrix built. On a Dataset it is
+    the copy d.subset(idx) in draw order, which multiple imputation needs:
+    its donor ranking, tie rule and random draws depend on row order. The
+    estimator is called with the resample.
 
     The estimator returns one float, or a 1-D vector of K estimates that
     share work on a resample (several estimators of one fit, say). A
@@ -376,7 +398,9 @@ def bootstrap_ci(estimator, d: Dataset, B: int, seed: int) -> BootstrapResult:
     estimates = []
     failures = 0
     for b in range(B):
-        boot = resample(d, np.random.SeedSequence((seed, b)))
+        idx = resample(d.n, np.random.SeedSequence((seed, b)))
+        boot = d.resampled(idx) if isinstance(d, Design) else d.subset(idx)
+        del idx  # not held while the estimator runs
         try:
             estimates.append(np.asarray(estimator(boot), dtype=float))
         except MnarError:

@@ -35,8 +35,8 @@ from .estimators import (
     tau_wee_ipw,
     tau_wee_or,
 )
-from .glm import LinearModelParams, expit
-from .wee import fit_wee
+from .glm import LinearModelParams, ModelSpec, expit
+from .wee import Design, fit_wee
 
 TABLE1_SCENARIOS = ("table1-binary", "table1-continuous")
 TABLE2_SCENARIOS = ("ocpc", "ocpm", "ompc", "ompm")
@@ -230,8 +230,10 @@ def _rep_table2(d: Dataset, methods, est_seeds, mi_opts: MiOptions) -> dict:
     """method -> (estimate, se) for one replication; per-method failures
     recorded as exceptions in the returned dict. The WEE estimators share
     one fit under the true alpha and the MI estimators one imputation; a
-    failure of that shared step is recorded for each of them."""
+    failure of that shared step is recorded for each of them. The WEE and
+    CC estimators read one Design of the data."""
     out = {}
+    dz = Design(d, ModelSpec.default_for(d.schema))
 
     def each(members, shared, estimate):
         if not members:
@@ -250,7 +252,7 @@ def _rep_table2(d: Dataset, methods, est_seeds, mi_opts: MiOptions) -> dict:
 
     def wee_fit():
         known = LinearModelParams(np.asarray(TABLE2_ALPHA), ("c1", "c2", "y"))
-        return fit_wee(d, known_alpha=known, covariance=False)
+        return fit_wee(dz, known_alpha=known, covariance=False)
 
     def wee_estimate(m, fitted):
         if m == "wee-or":
@@ -262,7 +264,7 @@ def _rep_table2(d: Dataset, methods, est_seeds, mi_opts: MiOptions) -> dict:
     opts = replace(mi_opts, seed=est_seeds[1])
     each([m for m in methods if m.startswith("wee-")], wee_fit, wee_estimate)
     each([m for m in methods if m.startswith("cc-")], lambda: None,
-         lambda m, _: tau_cc(d, m[3:]))
+         lambda m, _: tau_cc(dz, m[3:]))
     each([m for m in methods if m.startswith("mi-")],
          lambda: impute_pmm(d, opts),
          lambda m, completed: tau_mi(d, m[3:], opts, completed=completed))

@@ -2,8 +2,12 @@
 E_hat[psi(theta; row)] = 0: averaging, damped Newton root finding, and the
 A^{-1} B A^{-T} sandwich covariance (Stefanski & Boos 2002).
 
-A system is bound to its data: psi maps theta alone to the (n, dim)
-per-row values, and n is their row count. A system may carry the
+A system is bound to its data: psi maps theta alone to the per-row
+values, one row per distinct data row. Each row may be counted several
+times, as in a bootstrap resample (Efron & Tibshirani 1993, the
+resampling vector P*; Chatterjee & Bose 2005): every average is then the
+count-weighted sum f @ psi / n, one matrix-vector product, with n the sum
+of the counts. Without counts each row counts once. A system may carry the
 closed-form Jacobian of its averaged equations; the solver and the
 sandwich use it when present. Systems without one fall back to
 numeric_jacobian at its default central-difference step; that function is
@@ -28,25 +32,32 @@ HALVINGS = 30
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """psi maps theta to an (n, dim) matrix of per-row equation values.
+    """psi maps theta to an (m, dim) matrix of per-row equation values.
     jacobian, when given, maps theta to the (dim, dim) Jacobian of the
     averaged equations, d mean(psi) / d theta. psi_and_jacobian, when
-    given, maps theta to the pair (psi, jacobian) at one point."""
+    given, maps theta to the pair (psi, jacobian) at one point. counts,
+    when given, is the (m,) number of times each row is counted."""
 
     psi: callable
     dim: int
     jacobian: callable = None
     psi_and_jacobian: callable = None
+    counts: np.ndarray = None
+
+
+def _counts(sys: EquationSystem, vals: np.ndarray) -> np.ndarray:
+    return np.ones(vals.shape[0]) if sys.counts is None else sys.counts
 
 
 def average_psi(sys: EquationSystem, theta: np.ndarray) -> np.ndarray:
-    """(1/n) sum of per-row equation values."""
+    """Count-weighted average of the per-row equation values."""
     vals = np.asarray(sys.psi(np.asarray(theta, dtype=float)))
     if vals.ndim != 2 or vals.shape[1] != sys.dim:
         raise NonFiniteEvaluation(
             f"psi returned shape {vals.shape}, expected (n, {sys.dim})"
         )
-    return vals.mean(axis=0)
+    f = _counts(sys, vals)
+    return f @ vals / f.sum()
 
 
 def numeric_jacobian(sys: EquationSystem, theta: np.ndarray,
@@ -140,9 +151,13 @@ def solve_root(sys: EquationSystem, init: np.ndarray, stats: dict = None) -> np.
     )
 
 
-def sandwich_covariance(sys: EquationSystem, theta_hat: np.ndarray) -> np.ndarray:
+def sandwich_covariance(sys: EquationSystem, theta_hat: np.ndarray,
+                        stats: dict = None) -> np.ndarray:
     """Vhat/n with A the Jacobian of the averaged equations at theta_hat
-    and B the average outer product of per-row equation values."""
+    and B the count-weighted average outer product of per-row equation
+    values: a row counted f times enters B f times, as its f copies would.
+    When a dict is passed as stats it receives the averaged equations at
+    theta_hat as "average", from the same per-row values."""
     theta_hat = np.asarray(theta_hat, dtype=float)
     if sys.psi_and_jacobian is None:
         A = jacobian(sys, theta_hat)
@@ -153,7 +168,10 @@ def sandwich_covariance(sys: EquationSystem, theta_hat: np.ndarray) -> np.ndarra
     if np.linalg.cond(A) > COND_LIMIT:
         raise SingularJacobian("sandwich bread is numerically singular")
     vals = np.asarray(vals)
-    n = vals.shape[0]
-    B = vals.T @ vals / n
+    f = _counts(sys, vals)
+    n = f.sum()
+    if stats is not None:
+        stats["average"] = f @ vals / n
+    B = (vals * f[:, None]).T @ vals / n
     Ainv = np.linalg.inv(A)
     return Ainv @ B @ Ainv.T / n

@@ -9,6 +9,18 @@ One Design per dataset holds the design matrices that the stage-two fits,
 stage one, every WeeStack and its sandwich read. A WeeStack is bound to
 its Design, and a fit's FittedModels keep it for the effect estimators.
 
+A bootstrap resample is counts on the full-data Design: the rows drawn
+at least once, each counted f times, as often as it was drawn
+(Design.resampled). Every average is the count-weighted sum
+sum_i f_i psi_i / n, one matrix-vector product; the fits weight each row
+by its weight times f; the sandwich's meat weights each outer product by
+f. These are the sums over the copy the draw would make, so no resample
+is copied and no design matrix is built again. The weight caps judge
+each distinct row's own weight, never f times it. On the full data
+every count is 1. Multiple imputation alone copies a resample, in draw
+order (estimators.bootstrap_ci): its donor ranking, tie rule and random
+draws depend on row order.
+
 Numerical form used throughout: on r=1 rows, with lp the missing-model
 linear predictor, 1/M - 1 = exp(-lp) and 1/M = 1 + exp(-lp) exactly. This
 avoids dividing by expit(lp), which underflows long before the weight
@@ -43,7 +55,7 @@ from .glm import (
     expit,
     fit_model,
 )
-from .solver import EquationSystem, solve_root
+from .solver import EquationSystem, average_psi, solve_root
 
 DEFAULT_WEIGHT_CAP = 1e4  # on r/M, and on the propensity weights 1/H and 1/(1-H)
 RESTARTS = 5              # jittered stage-one restarts after a failed solve
@@ -106,32 +118,86 @@ def g_matrix(gspec: GSpec, d: Dataset) -> np.ndarray:
 
 
 class Design:
-    """The design matrices of one dataset under one model spec. Each is
-    built on first use and then shared by the fits, the equation values and
-    their Jacobian, across Newton iterations and every sandwich. gspec is
-    needed only when stage one is solved."""
+    """The design matrices of one dataset under one model spec, the columns
+    a, y and r that the equations read, and counts, how many times each
+    row is counted (n is their sum). Each matrix is built on first use and
+    then shared by the fits, the equation values and their Jacobian, across
+    Newton iterations and every sandwich. gspec is needed only when stage
+    one is solved.
+
+    A Design of some rows of the data (a bootstrap resample, the complete
+    cases) builds no matrix: it slices those of the full-data Design, whose
+    counts are all 1."""
 
     def __init__(self, d: Dataset, model_spec: ModelSpec, gspec: GSpec | None = None):
         self.d = d
         self.model_spec = model_spec
         self.gspec = gspec
+        self.schema = d.schema
+        self.a, self.y, self.r = d.a, d.y, d.r
         self.complete = d.r == 1
+        self.counts = np.ones(d.n)
+        self.n = d.n
+        self._full = None  # not self: a cycle would hold the matrices until gc
+        self._rows = None
+
+    def _restrict(self, rows: np.ndarray, counts: np.ndarray) -> "Design":
+        """The Design of the rows (indices) of this one, each counted counts
+        times."""
+        sub = object.__new__(Design)
+        sub.__dict__.update(
+            model_spec=self.model_spec, gspec=self.gspec, schema=self.schema,
+            a=self.a[rows], y=self.y[rows], r=self.r[rows],
+            complete=self.complete[rows], counts=counts, n=int(counts.sum()),
+            _full=self if self._full is None else self._full,
+            _rows=rows if self._rows is None else self._rows[rows])
+        return sub
+
+    def resampled(self, idx) -> "Design":
+        """The bootstrap resample that draws the rows idx of this full-data
+        Design: the rows drawn at least once, each counted as often as it
+        was drawn."""
+        counts = np.bincount(idx, minlength=self.n)
+        drawn = np.flatnonzero(counts)
+        return self._restrict(drawn, counts[drawn].astype(float))
+
+    def complete_cases(self) -> "Design":
+        """The complete cases with their counts; the Design itself when none
+        is missing."""
+        if self.complete.all():
+            return self
+        rows = np.flatnonzero(self.complete)
+        return self._restrict(rows, self.counts[rows])
+
+    def average(self, values: np.ndarray):
+        """Count-weighted average over the rows, counts @ values / n: a
+        number for a vector, one per column for a matrix."""
+        return self.counts @ values / self.n
+
+    def _matrix(self, name: str, build):
+        if self._rows is None:
+            return build(self.d)
+        # take copies rows faster than fancy indexing does
+        return np.take(getattr(self._full, name), self._rows, axis=0)
 
     @cached_property
     def Xm(self) -> np.ndarray:
-        return design_matrix(self.d, self.model_spec.missing_covariates)
+        return self._matrix("Xm", lambda d: design_matrix(
+            d, self.model_spec.missing_covariates))
 
     @cached_property
     def G(self) -> np.ndarray:
-        return g_matrix(self.gspec, self.d)
+        return self._matrix("G", lambda d: g_matrix(self.gspec, d))
 
     @cached_property
     def Xg(self) -> np.ndarray:
-        return design_matrix(self.d, self.model_spec.propensity_covariates)
+        return self._matrix("Xg", lambda d: design_matrix(
+            d, self.model_spec.propensity_covariates))
 
     @cached_property
     def Xb(self) -> np.ndarray:
-        return design_matrix(self.d, self.model_spec.outcome_covariates)
+        return self._matrix("Xb", lambda d: design_matrix(
+            d, self.model_spec.outcome_covariates))
 
     @property
     def treatment_column(self) -> int:
@@ -146,20 +212,22 @@ class Design:
     def weights(self, alpha_coef) -> np.ndarray:
         """r/M; alpha_coef None means M is forced to 1."""
         if alpha_coef is None:
-            return self.d.r.copy()
+            return self.r.copy()
         return np.where(self.complete, 1.0 + self.tilt(alpha_coef)[1], 0.0)
 
 
-def _moments(dz: Design, em: np.ndarray) -> np.ndarray:
-    """Stage-one moment values from em = exp(-lp). The tilt factor is em on
-    complete rows and the constant -1 on missing rows; the factor is chosen
-    by mask before multiplying into G so overflow never creates NaN."""
-    return np.where(dz.complete, em, -1.0)[:, None] * dz.G
+def _moments(dz: Design, em: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Stage-one moment values from em = exp(-lp), written into out when
+    given. The tilt factor is em on complete rows and the constant -1 on
+    missing rows; the factor is chosen by mask before multiplying into G so
+    overflow never creates NaN."""
+    return np.multiply(np.where(dz.complete, em, -1.0)[:, None], dz.G, out=out)
 
 
 def _moments_jacobian(dz: Design, em: np.ndarray) -> np.ndarray:
-    """d mean(moments) / d alpha = -(1/n) sum_{r=1} exp(-lp) G x_m^T."""
-    return -(dz.G * np.where(dz.complete, em, 0.0)[:, None]).T @ dz.Xm / dz.d.n
+    """d mean(moments) / d alpha = -(1/n) sum_{r=1} f exp(-lp) G x_m^T."""
+    tilted = np.where(dz.complete, dz.counts * em, 0.0)
+    return -(dz.G * tilted[:, None]).T @ dz.Xm / dz.n
 
 
 def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef,
@@ -169,8 +237,8 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
     zero on rows missing the designated confounder. Written so no division
     happens on rows where the divisor is irrelevant (treated rows never
     divide by 1-H and so on). With jacobian set, also returns the
-    derivatives of mean(s1 - s0) with respect to gamma and beta at fixed w;
-    OR reads no gamma, so its gamma derivative is None.
+    derivatives of the count-weighted mean of s1 - s0 with respect to gamma
+    and beta at fixed w; OR reads no gamma, so its gamma derivative is None.
     """
     mask = dz.complete
     j = dz.treatment_column
@@ -186,13 +254,13 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
     else:
         O1, O0 = lp1, lp0
         dO1 = dO0 = 1.0
-    n = dz.d.n
+    f, n = dz.counts, dz.n
 
     def beta_gradient(d1, d0):
         """mean(d1 x_b1 - d0 x_b0), x_b1 and x_b0 the outcome covariates
         with the treatment set to 1 and to 0."""
-        grad = (d1 - d0) @ dz.Xb / n
-        grad[j] = d1.sum() / n
+        grad = (f * (d1 - d0)) @ dz.Xb / n
+        grad[j] = f @ d1 / n
         return grad
 
     if which == "or":
@@ -202,8 +270,8 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
         return s1, s0, None, beta_gradient(w * dO1, w * dO0)
 
     H = expit(dz.Xg @ gamma_coef)
-    treated = dz.d.a == 1
-    y = dz.d.y
+    treated = dz.a == 1
+    y = dz.y
     with np.errstate(divide="ignore", invalid="ignore"):
         if which == "ipw":
             s1 = np.where(mask & treated, w * y / H, 0.0)
@@ -211,7 +279,7 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
             if not jacobian:
                 return s1, s0
             dg = -(s1 * (1.0 - H) + s0 * H)
-            return s1, s0, dg @ dz.Xg / n, np.zeros(dz.Xb.shape[1])
+            return s1, s0, (f * dg) @ dz.Xg / n, np.zeros(dz.Xb.shape[1])
         if which == "dr":
             adj1 = np.where(treated, (y - O1) / H, 0.0)
             s1 = np.where(mask, w * (O1 + adj1), 0.0)
@@ -223,7 +291,7 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
             d1 = np.where(mask, w * dO1 * np.where(treated, 1.0 - 1.0 / H, 1.0), 0.0)
             d0 = np.where(mask, w * dO0
                           * np.where(~treated, 1.0 - 1.0 / (1.0 - H), 1.0), 0.0)
-            return s1, s0, dg @ dz.Xg / n, beta_gradient(d1, d0)
+            return s1, s0, (f * dg) @ dz.Xg / n, beta_gradient(d1, d0)
     raise BadConfig(f"unknown estimator {which!r}")
 
 
@@ -310,8 +378,7 @@ class WeeStack:
         (dim, dim) Jacobian of their average (else None)."""
         theta = np.asarray(theta, dtype=float)
         dz = self.design
-        d = dz.d
-        n = d.n
+        n = dz.n
         b = self.blocks
         gsl = b.get("gamma")
         bsl = slice(b["beta"].start, b["beta"].start + self.p_beta)
@@ -327,30 +394,33 @@ class WeeStack:
                 self.effect, dz, w, gamma_coef, beta_coef, jacobian=jacobian)
             effect = s1 - s0
             del s1, s0  # keeps the peak memory of large fits down
-        vals = np.empty((n, self.dim))
+        # each block is written in place, with no temporary of its size
+        vals = np.empty((len(w), self.dim))
         if self.estimate_alpha:
-            vals[:, b["alpha"]] = _moments(dz, em)
+            _moments(dz, em, out=vals[:, b["alpha"]])
         if gsl is not None:
             H = expit(dz.Xg @ gamma_coef)
-            vals[:, gsl] = (w * (d.a - H))[:, None] * dz.Xg
+            np.multiply((w * (dz.a - H))[:, None], dz.Xg, out=vals[:, gsl])
         lp = dz.Xb @ beta_coef
         mean = lp if self.gaussian else expit(lp)
-        vals[:, bsl] = (w * (d.y - mean))[:, None] * dz.Xb
+        np.multiply((w * (dz.y - mean))[:, None], dz.Xb, out=vals[:, bsl])
         if self.gaussian:
-            vals[:, bsl.stop] = w * ((d.y - lp) ** 2 - theta[bsl.stop])
+            vals[:, bsl.stop] = w * ((dz.y - lp) ** 2 - theta[bsl.stop])
         if self.effect:
             vals[:, -1] = effect - theta[-1]
         if not jacobian:
             return vals, None
 
+        # each row enters the averages with its weight times its count
+        wf = w * dz.counts
         J = np.zeros((self.dim, self.dim))
         if gsl is not None:
-            J[gsl, gsl] = -(dz.Xg * (w * H * (1.0 - H))[:, None]).T @ dz.Xg / n
-        slope = w if self.gaussian else w * mean * (1.0 - mean)
+            J[gsl, gsl] = -(dz.Xg * (wf * H * (1.0 - H))[:, None]).T @ dz.Xg / n
+        slope = wf if self.gaussian else wf * mean * (1.0 - mean)
         J[bsl, bsl] = -(dz.Xb * slope[:, None]).T @ dz.Xb / n
         if self.gaussian:
-            J[bsl.stop, bsl] = -2.0 * (w * (d.y - lp)) @ dz.Xb / n
-            J[bsl.stop, bsl.stop] = -w.sum() / n
+            J[bsl.stop, bsl] = -2.0 * (wf * (dz.y - lp)) @ dz.Xb / n
+            J[bsl.stop, bsl.stop] = -wf.sum() / n
         if self.effect:
             gamma_gradient, beta_gradient = effect_gradient
             J[-1, bsl] = beta_gradient
@@ -362,7 +432,8 @@ class WeeStack:
             J[asl, asl] = _moments_jacobian(dz, em)
             # every later row is w times a factor free of alpha, and on
             # complete rows dw/dalpha = -exp(-lp) x_m = -w (1 - M) x_m
-            Xm_tilted = dz.Xm * np.where(dz.complete, expit(-lp_m), 0.0)[:, None]
+            Xm_tilted = dz.Xm * np.where(dz.complete, dz.counts * expit(-lp_m),
+                                         0.0)[:, None]
             J[asl.stop:, asl] = -vals[:, asl.stop:].T @ Xm_tilted / n
             if self.effect:
                 J[-1, asl] = -effect @ Xm_tilted / n
@@ -371,26 +442,33 @@ class WeeStack:
     def system(self) -> EquationSystem:
         return EquationSystem(
             psi=self.psi, dim=self.dim, jacobian=self.jacobian,
-            psi_and_jacobian=lambda theta: self.evaluate(theta, jacobian=True))
+            psi_and_jacobian=lambda theta: self.evaluate(theta, jacobian=True),
+            counts=self.design.counts)
 
     def moment_system(self) -> EquationSystem:
-        """Stage one alone: the alpha block, which involves no other block."""
+        """Stage one alone: the alpha block, which involves no other block.
+        Newton asks for the Jacobian at the point whose values it has just
+        accepted, so the tilt exp(-lp) of the last point is kept for it."""
         dz = self.design
+        last = [None, None]  # alpha, exp(-lp)
 
-        def psi(alpha_coef):
-            return _moments(dz, dz.tilt(alpha_coef)[1])
+        def tilt(alpha_coef):
+            if last[0] is None or not np.array_equal(last[0], alpha_coef):
+                last[:] = alpha_coef.copy(), dz.tilt(alpha_coef)[1]
+            return last[1]
 
-        def jacobian(alpha_coef):
-            return _moments_jacobian(dz, dz.tilt(alpha_coef)[1])
-
-        return EquationSystem(psi=psi, dim=self.p_alpha, jacobian=jacobian)
+        return EquationSystem(
+            psi=lambda alpha_coef: _moments(dz, tilt(alpha_coef)), dim=self.p_alpha,
+            jacobian=lambda alpha_coef: _moments_jacobian(dz, tilt(alpha_coef)),
+            counts=dz.counts)
 
 
 @dataclass(frozen=True)
 class FittedModels:
     """Fitted missing-probability, propensity, and outcome models with the
-    joint sandwich covariance of every estimated block, and the Design of
-    the data they were fitted on."""
+    joint sandwich covariance of every estimated block, the Design of the
+    data they were fitted on, and the weights r/M at the fitted alpha, one
+    per row of that Design, which every effect estimator reads."""
 
     alpha: LinearModelParams
     gamma: LinearModelParams
@@ -399,6 +477,7 @@ class FittedModels:
     blocks: dict
     diagnostics: FitDiagnostics
     design: Design
+    weights: np.ndarray
 
     def block_cov(self, name: str) -> np.ndarray:
         s = self.blocks[name]
@@ -412,9 +491,11 @@ def _naive_alpha_init(dz: Design) -> np.ndarray:
     """Logit fit of r on the always-present missing-model covariates, with
     zero at the position of the partially observed confounder. Exact in the
     sub-model where that coefficient is zero."""
-    d, covariates = dz.d, dz.model_spec.missing_covariates
-    observed = tuple(c for c in covariates if c != d.schema.missing)
-    naive = fit_model(design_matrix(d, observed), d.r, np.ones(d.n), BERNOULLI,
+    covariates = dz.model_spec.missing_covariates
+    observed = tuple(c for c in covariates if c != dz.schema.missing)
+    # their columns of Xm, which holds the values design_matrix would build
+    columns = [0] + [1 + j for j, c in enumerate(covariates) if c in observed]
+    naive = fit_model(np.take(dz.Xm, columns, axis=1), dz.r, dz.counts, BERNOULLI,
                       observed)
     init = np.zeros(1 + len(covariates))
     init[0] = naive.coefficients[0]
@@ -444,32 +525,36 @@ def _solve_alpha(stack: WeeStack, restart_seed) -> tuple[np.ndarray, int, int]:
     raise last
 
 
-def fit_wee(d: Dataset, model_spec: ModelSpec = None, gspec: GSpec = None,
+def fit_wee(d: Dataset | Design, model_spec: ModelSpec = None, gspec: GSpec = None,
             known_alpha: LinearModelParams = None, restart_seed: int = 0,
             covariance: bool = True) -> FittedModels:
     """Two-stage fit returning all three models and the stacked sandwich.
 
-    known_alpha supplies the missing-probability coefficients instead of
-    solving the stage-one moment equation (its block then carries no
-    uncertainty).
+    d is a Dataset, or a Design (of the full data or of a bootstrap
+    resample), which carries its own model spec and G; model_spec and gspec
+    are read only with a Dataset. known_alpha supplies the
+    missing-probability coefficients instead of solving the stage-one
+    moment equation (its block then carries no uncertainty).
     """
-    model_spec = model_spec or ModelSpec.default_for(d.schema)
-    schema = d.schema
-    n_missing = int((d.r == 0).sum())
-    n_complete = d.n - n_missing
-    if n_complete == 0:
+    if isinstance(d, Design):
+        dz = d
+    else:
+        model_spec = model_spec or ModelSpec.default_for(d.schema)
+        dz = Design(d, model_spec, gspec or default_G(model_spec, d.schema))
+    model_spec, schema = dz.model_spec, dz.schema
+    if not dz.complete.any():
         raise RankDeficient("no complete cases to fit on")
 
     estimate_alpha = known_alpha is None
-    if estimate_alpha and n_missing == 0:
+    if estimate_alpha and dz.complete.all():
         raise MissingnessDegenerate(
             "no missing rows: the moment equation has no interior root; "
             "use a complete-case analysis instead"
         )
-    gspec = gspec or default_G(model_spec, schema)
-    dz = Design(d, model_spec, gspec)
     if estimate_alpha:
-        gspec.validate(schema, model_spec)
+        if dz.gspec is None:
+            raise BadConfig("stage one needs the moment components G")
+        dz.gspec.validate(schema, model_spec)
         stack = WeeStack(dz, estimate_alpha=True)
         alpha_coef, iters, used_restarts = _solve_alpha(stack, restart_seed)
         alpha = LinearModelParams(alpha_coef, model_spec.missing_covariates)
@@ -481,26 +566,31 @@ def fit_wee(d: Dataset, model_spec: ModelSpec = None, gspec: GSpec = None,
         stack = WeeStack(dz, estimate_alpha=False, known_alpha_coef=alpha_coef)
         iters, used_restarts = 0, 0
 
-    w = dz.weights(alpha_coef)
+    # the caps judge each row's own weight r/M, never its count times it
+    lp, em = dz.tilt(alpha_coef)
+    w = np.where(dz.complete, 1.0 + em, 0.0)
     if w.max() > DEFAULT_WEIGHT_CAP:
         raise ExtremeWeight(f"weight {w.max():.3g} beyond cap {DEFAULT_WEIGHT_CAP:.3g}")
-    m_fit = expit(dz.tilt(alpha_coef)[0][dz.complete])
+    m_fit = expit(lp[dz.complete])
 
-    gamma = fit_model(dz.Xg, d.a, w, BERNOULLI, model_spec.propensity_covariates)
-    beta = fit_model(dz.Xb, d.y, w, model_spec.outcome_family,
+    wf = w * dz.counts
+    gamma = fit_model(dz.Xg, dz.a, wf, BERNOULLI, model_spec.propensity_covariates)
+    beta = fit_model(dz.Xb, dz.y, wf, model_spec.outcome_family,
                      model_spec.outcome_covariates)
 
     theta_hat = stack.pack(alpha, gamma, beta)
-    residual = np.abs(stack.psi(theta_hat).mean(axis=0))
-    residual_sup = {name: float(residual[s].max()) for name, s in stack.blocks.items()}
-
+    system = stack.system()
     if covariance:
         # looked up at call time, so that a wrapper installed on
         # solver.sandwich_covariance (the benchmark's tracer) sees this call
         from .solver import sandwich_covariance
-        cov = sandwich_covariance(stack.system(), theta_hat)
+        stats: dict = {}
+        cov = sandwich_covariance(system, theta_hat, stats)
+        residual = np.abs(stats["average"])
     else:
         cov = np.full((stack.dim, stack.dim), np.nan)
+        residual = np.abs(average_psi(system, theta_hat))
+    residual_sup = {name: float(residual[s].max()) for name, s in stack.blocks.items()}
 
     diags = FitDiagnostics(
         stage1_iterations=iters,
@@ -511,4 +601,5 @@ def fit_wee(d: Dataset, model_spec: ModelSpec = None, gspec: GSpec = None,
         max_weight=float(w.max()),
     )
     return FittedModels(alpha=alpha, gamma=gamma, beta=beta, covariance=cov,
-                        blocks=stack.blocks, diagnostics=diags, design=dz)
+                        blocks=stack.blocks, diagnostics=diags, design=dz,
+                        weights=w)

@@ -18,14 +18,19 @@ import pytest
 import mnarcause
 from mnarcause import (
     Dataset,
+    Design,
     MiOptions,
+    MnarError,
+    ModelSpec,
     Schema,
     ScenarioConfig,
     bootstrap_ci,
+    default_G,
     emit_csv,
     generate_table1,
     load_csv,
     run_monte_carlo,
+    tau_cc,
     tau_mi,
     tau_wee_dr,
     tau_wee_ipw,
@@ -141,11 +146,13 @@ class TestSharedBootstrap:
         assert len(fits) == 21
         assert len(draws) == 20
         d = load(data)
+        spec = ModelSpec.default_for(d.schema)
+        dz = Design(d, spec, default_G(spec, d.schema))
         for name, fn in (("wee-or", tau_wee_or), ("wee-ipw", tau_wee_ipw),
                          ("wee-dr", tau_wee_dr)):
             alone = bootstrap_ci(
                 lambda b: fn(fit_wee(b, covariance=False), with_se=False).tau,
-                d, 20, 0)
+                dz, 20, 0)
             row = ate[name]
             assert row["boot_failures"] == alone.failures == 2
             assert (row["boot_se"], row["boot_lo"], row["boot_hi"]) == \
@@ -199,6 +206,57 @@ class TestSharedBootstrap:
         monkeypatch.setattr(cli, "bootstrap_ci", boot)
         self.fit_json(data, tmp_path, "wee-or,wee-dr", "--bootstrap", "2")
         assert alive == [False]
+
+
+def assert_close(count, copy, what):
+    np.testing.assert_allclose(count, copy, rtol=1e-12, atol=0, err_msg=what)
+
+
+class TestCountsEqualCopies:
+    """A bootstrap resample read as counts on the full-data Design gives
+    what the same code gives on the copy d.subset(idx): each of the 20
+    resamples of the 400-row fixture, bootstrap seed 0."""
+
+    def test_fit_and_every_estimator(self, data):
+        d = load(data)
+        spec = ModelSpec.default_for(d.schema)
+        dz = Design(d, spec, default_G(spec, d.schema))
+        failed = set()
+        for b in range(20):
+            idx = mnarcause.resample(d.n, np.random.SeedSequence((0, b)))
+            count, copy = dz.resampled(idx), d.subset(idx)
+            assert count.n == copy.n and len(count.counts) < copy.n
+            try:
+                by_copy = fit_wee(copy)
+            except MnarError as err:
+                with pytest.raises(type(err)):
+                    fit_wee(count)
+                failed.add(b)
+                continue
+            by_count = fit_wee(count)
+            for name in ("alpha", "gamma", "beta"):
+                assert_close(getattr(by_count, name).coefficients,
+                             getattr(by_copy, name).coefficients, f"{b} {name}")
+            assert_close(by_count.beta.phi, by_copy.beta.phi, f"{b} phi")
+            cov = by_copy.covariance
+            assert_close(np.diag(by_count.covariance), np.diag(cov), f"{b} var")
+            # off the diagonal, to 1e-12 of the largest entry: some covariances
+            # cancel to near zero
+            np.testing.assert_allclose(by_count.covariance, cov, rtol=0,
+                                       atol=1e-12 * np.abs(cov).max())
+            dc, dp = by_count.diagnostics, by_copy.diagnostics
+            assert dc.stage1_iterations == dp.stage1_iterations
+            assert dc.stage1_restarts == dp.stage1_restarts
+            assert_close([dc.min_fitted_m, dc.max_fitted_m, dc.max_weight],
+                         [dp.min_fitted_m, dp.max_fitted_m, dp.max_weight],
+                         f"{b} diagnostics")
+            for fn in (tau_wee_or, tau_wee_ipw, tau_wee_dr):
+                ec, ep = fn(by_count), fn(by_copy)
+                assert_close([ec.tau, ec.se], [ep.tau, ep.se], f"{b} {fn.__name__}")
+            for method in ("or", "ipw", "aipw"):
+                ec, ep = tau_cc(count, method), tau_cc(copy, method)
+                assert_close([ec.tau, ec.se], [ep.tau, ep.se], f"{b} cc-{method}")
+        assert failed == {11, 14}
 
 
 def failing_run(capsys, argv):

@@ -208,23 +208,25 @@ class TestMissingnessSummary:
 
 
 class TestResample:
+    """resample draws row indices; d.subset of them is the copy."""
+
     def test_single_row(self):
         d = small_dataset()
         one = d.subset(np.array([0]))
-        out = resample(one, seed=3)
+        out = one.subset(resample(one.n, seed=3))
         assert out.n == 1
         assert out.a[0] == one.a[0] and out.y[0] == one.y[0]
 
     def test_determinism(self):
         d = small_dataset(r_pattern=(1, 0, 1))
-        r1 = resample(d, seed=11)
-        r2 = resample(d, seed=11)
+        r1 = d.subset(resample(d.n, seed=11))
+        r2 = d.subset(resample(d.n, seed=11))
         assert np.array_equal(r1.a, r2.a)
         assert np.array_equal(r1.c, r2.c, equal_nan=True)
 
     def test_rows_come_from_input(self):
         d = small_dataset(r_pattern=(1, 0, 1))
-        out = resample(d, seed=5)
+        out = d.subset(resample(d.n, seed=5))
         originals = {(d.a[i], d.y[i]) for i in range(d.n)}
         for i in range(out.n):
             assert (out.a[i], out.y[i]) in originals
@@ -238,7 +240,7 @@ class TestResample:
         counts = np.zeros(5)
         draws = 0
         for s in range(10000):
-            out = resample(d, seed=s)
+            out = d.subset(resample(d.n, seed=s))
             for v in out.y:
                 counts[int(v)] += 1
             draws += out.n

@@ -28,6 +28,7 @@ from mnarcause import (
     bootstrap_ci,
     WeeStack,
     cc_parameter_fit,
+    emit_csv,
     fit_wee,
     generate_table1,
     generate_table2,
@@ -62,7 +63,9 @@ def make_fitted(d, alpha, gamma, beta):
         alpha=alpha, gamma=gamma, beta=beta,
         covariance=np.full((dim, dim), np.nan), blocks={},
         diagnostics=FitDiagnostics(0, 0, {}, 0.5, 0.5, 1.0),
-        design=Design(d, ModelSpec.default_for(d.schema)))
+        design=Design(d, ModelSpec.default_for(d.schema)),
+        weights=Design(d, ModelSpec.default_for(d.schema)).weights(
+            alpha.coefficients))
 
 
 def arm_means(fitted, which):
@@ -497,7 +500,7 @@ class TestBootstrap:
         # high; the first component never fails alone, yet those resamples
         # are missing from its column too
         d = mnar_dataset(n=80, seed=25)
-        means = [float(resample(d, np.random.SeedSequence((8, b))).y.mean())
+        means = [float(d.subset(resample(d.n, np.random.SeedSequence((8, b)))).y.mean())
                  for b in range(40)]
         cut = sorted(means)[-3]  # three resamples fail
 
@@ -769,6 +772,14 @@ class TestSandwichEvaluatesOnce:
             tau_cc(d, method)
             assert evaluations == [True], method
 
+    def test_fit_with_covariance(self, evaluations):
+        # the residual diagnostics come from the sandwich's own values
+        d, truth = generate_table1("continuous", 2000, 1)
+        known = LinearModelParams(np.asarray(truth.alpha), ("c1", "y"))
+        fitted = fit_wee(d, known_alpha=known)
+        assert evaluations == [True]
+        assert max(fitted.diagnostics.residual_sup.values()) < 1e-8
+
     def test_every_stack(self, evaluations):
         d, truth = generate_table1("continuous", 600, seed=50)
         known = LinearModelParams(np.asarray(truth.alpha), ("c1", "y"))
@@ -823,11 +834,30 @@ class TestOneDesignPerFit:
     def test_estimated_alpha(self, builds):
         d, _ = generate_table1("continuous", 2000, 1)
         self.fit_and_estimate(d)
-        # the three models and the starting logit fit of r on (y)
-        assert sorted(builds) == sorted([("c1", "y"), ("c1",), ("a", "c1"), ("y",)])
+        # the three models; the starting logit fit of r on (y) reads its
+        # columns of the missing model's design
+        assert sorted(builds) == sorted([("c1", "y"), ("c1",), ("a", "c1")])
 
     @pytest.mark.parametrize("method,count", [("or", 1), ("ipw", 2), ("aipw", 2)])
     def test_complete_case(self, builds, method, count):
         d, _ = generate_table1("continuous", 2000, 1)
         tau_cc(d, method)
         assert len(builds) == count
+
+    @pytest.mark.parametrize("estimators", ["wee-or,wee-ipw,wee-dr",
+                                            "wee-dr,cc-or,cc-aipw"])
+    def test_bootstrap_builds_no_design(self, builds, tmp_path, estimators):
+        """The resamples of fit --bootstrap are counts on the one Design of
+        the data: B = 2 and B = 5 build the same matrices."""
+        from mnarcause.cli import main
+        path = tmp_path / "data.csv"
+        path.write_text(emit_csv(generate_table1("continuous", 400, 7)[0]))
+        made = []
+        for B in (2, 5):
+            builds.clear()
+            assert main(["fit", "--data", str(path), "--treatment", "a",
+                         "--outcome", "y", "--confounders", "c1", "--missing",
+                         "c1", "--estimators", estimators, "--bootstrap",
+                         str(B)]) == 0
+            made.append(sorted(builds))
+        assert made[0] == made[1]

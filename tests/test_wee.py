@@ -2,14 +2,19 @@
 stage-one and stage-two contracts, closed-form Jacobians, stacked sandwich
 plumbing."""
 
+import gc
 import importlib.util
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnarcause import (
+    BadConfig,
     Dataset,
     Design,
     DimensionMismatch,
@@ -17,6 +22,7 @@ from mnarcause import (
     GSpec,
     LinearModelParams,
     MissingnessDegenerate,
+    MnarError,
     ModelSpec,
     NoConvergence,
     Schema,
@@ -27,6 +33,7 @@ from mnarcause import (
     generate_table1,
     numeric_jacobian,
     resample,
+    sandwich_covariance,
 )
 from mnarcause.glm import GAUSSIAN, expit
 from mnarcause.wee import g_matrix
@@ -256,6 +263,11 @@ class TestFitWee:
         assert tuple(fitted.blocks) == ("gamma", "beta")
         assert fitted.alpha is alpha
 
+    def test_stage_one_needs_g(self):
+        d, _ = two_confounder_dataset(n=100, seed=13)
+        with pytest.raises(BadConfig):
+            fit_wee(Design(d, ModelSpec.default_for(SCHEMA2)))
+
     def test_known_alpha_covariates_checked(self):
         d, _ = two_confounder_dataset(n=100, seed=13)
         bad = LinearModelParams(np.array([1.0, -1.0]), ("c2",))
@@ -408,9 +420,89 @@ class TestStageOneWarnings:
         # overflow exp(-lp), and those non-finite values are rejected by the
         # line search without a RuntimeWarning
         d, _ = generate_table1("continuous", 2000, 12)
-        boot = resample(d, np.random.SeedSequence((0, 27)))
+        spec = ModelSpec.default_for(d.schema)
+        boot = Design(d, spec, default_G(spec, d.schema)).resampled(
+            resample(d.n, np.random.SeedSequence((0, 27))))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(NoConvergence):
                 fit_wee(boot)
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+# a small Table-1 dataset whose resamples are drawn by count vectors
+COUNTED, COUNTED_TRUTH = generate_table1("continuous", 40, 3)
+
+
+class TestCountedDesign:
+    """A Design of counts f on the rows is the Design of the copy that
+    repeats each row f times: same averages, same sandwich."""
+
+    @staticmethod
+    def stacks(dz):
+        alpha = LinearModelParams(np.asarray(COUNTED_TRUTH.alpha), ("c1", "y"))
+        gamma = LinearModelParams(np.asarray(COUNTED_TRUTH.gamma), ("c1",))
+        beta = LinearModelParams(np.asarray(COUNTED_TRUTH.beta), ("a", "c1"),
+                                 phi=1.0)
+        estimated = WeeStack(dz, True, effect="dr")
+        known = WeeStack(dz, False, known_alpha_coef=alpha.coefficients,
+                         effect="ipw")
+        return [(estimated, estimated.pack(alpha, gamma, beta, tau=1.2)),
+                (known, known.pack(alpha, gamma, beta, tau=0.8))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=COUNTED.n, max_size=COUNTED.n))
+    def test_sandwich_on_counts_equals_sandwich_on_copy(self, counts):
+        # a row drawn f times enters the meat f times, not f**2 times
+        idx = np.repeat(np.arange(COUNTED.n), counts)
+        if idx.size == 0:
+            return
+        spec = ModelSpec.default_for(COUNTED.schema)
+        gspec = default_G(spec, COUNTED.schema)
+        counted = Design(COUNTED, spec, gspec).resampled(idx)
+        copied = Design(COUNTED.subset(idx), spec, gspec)
+        for (by_count, theta), (by_copy, _) in zip(self.stacks(counted),
+                                                    self.stacks(copied)):
+            try:
+                expected = sandwich_covariance(by_copy.system(), theta)
+            except MnarError as err:
+                with pytest.raises(type(err)):
+                    sandwich_covariance(by_count.system(), theta)
+                continue
+            got = sandwich_covariance(by_count.system(), theta)
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-9 * np.abs(expected).max())
+
+    def test_full_design_is_freed_without_the_cycle_collector(self):
+        # a Design that referred to itself would keep its matrices until a
+        # gc pass; a Monte Carlo study makes one per replication
+        spec = ModelSpec.default_for(COUNTED.schema)
+        dz = Design(COUNTED, spec)
+        dz.resampled(np.arange(COUNTED.n)).Xb
+        ref = weakref.ref(dz)
+        gc.disable()
+        try:
+            del dz
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_cap_judges_each_row_not_its_count(self):
+        # the complete row of least outcome has r/M = 9999, just under the
+        # 1e4 cap, and is drawn three times: its count times r/M is past
+        # the cap, r/M is not, and its three copies pass as well
+        d, _ = two_confounder_dataset(n=200, seed=31)
+        spec = ModelSpec.default_for(SCHEMA2)
+        complete = np.flatnonzero(d.r == 1)
+        row = int(complete[np.argmin(d.y[complete])])
+        coef = np.array([-np.log(9998.0) - d.y[row], 0.0, 0.0, 1.0])
+        alpha = LinearModelParams(coef, spec.missing_covariates)
+        idx = np.r_[np.arange(d.n), [row, row]]
+        counted = Design(d, spec).resampled(idx)
+        assert counted.counts[row] == 3.0
+        fitted = fit_wee(counted, known_alpha=alpha, covariance=False)
+        assert fitted.diagnostics.max_weight == pytest.approx(9999.0, rel=1e-9)
+        assert 3.0 * fitted.diagnostics.max_weight > 1e4
+        copied = fit_wee(d.subset(idx), known_alpha=alpha, covariance=False)
+        np.testing.assert_allclose(fitted.beta.coefficients,
+                                   copied.beta.coefficients, rtol=1e-12)
