@@ -4,8 +4,14 @@
   --format json` with all nine estimators on generate_table1("continuous",
   400, 7), where the WEE estimators leave out the two resamples (11 and
   14) on which stage one fails;
+- fit_binary_all_nine_bootstrap5.json: `fit --outcome-family binary
+  --bootstrap 5 --mi-m 3 --seed 0 --format json` with all nine estimators
+  on generate_table1("binary", 600, 3);
 - simulate_ompm.csv and simulate_ompm_raw.csv: `simulate --scenario ompm
-  --n 500 --reps 3 --seed 5` with all nine methods.
+  --n 500 --reps 3 --seed 5` with all nine methods;
+- simulate_table1-binary.csv, simulate_table1-continuous.csv and their
+  _raw files: `simulate --scenario table1-binary` (and
+  `table1-continuous`) `--n 300 --reps 3 --seed 5`.
 
 Strings and integers must match exactly, and floats to 1e-12 relative. A
 deliberate change to these numbers updates the fixtures and says so in
@@ -17,6 +23,8 @@ import io
 import json
 import math
 from pathlib import Path
+
+import pytest
 
 from mnarcause import emit_csv, generate_table1
 from mnarcause.cli import main
@@ -57,24 +65,59 @@ def csv_cells(text: str) -> list:
     return [[cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
 
 
-def test_fit_report(tmp_path):
+@pytest.mark.parametrize("fixture, kind, n, seed, flags", [
+    ("fit_all_nine_bootstrap20.json", "continuous", 400, 7, ["--bootstrap", "20"]),
+    ("fit_binary_all_nine_bootstrap5.json", "binary", 600, 3,
+     ["--outcome-family", "binary", "--bootstrap", "5"]),
+])
+def test_fit_report(tmp_path, fixture, kind, n, seed, flags):
     data = tmp_path / "data.csv"
-    data.write_text(emit_csv(generate_table1("continuous", 400, 7)[0]))
+    data.write_text(emit_csv(generate_table1(kind, n, seed)[0]))
     out = tmp_path / "report.json"
     assert main(["fit", "--data", str(data), "--treatment", "a", "--outcome", "y",
-                 "--confounders", "c1", "--missing", "c1", "--bootstrap", "20",
+                 "--confounders", "c1", "--missing", "c1", *flags,
                  "--mi-m", "3", "--seed", "0", "--format", "json",
                  "--out", str(out)]) == 0
-    want = json.loads((GOLDEN / "fit_all_nine_bootstrap20.json").read_text())
+    want = json.loads((GOLDEN / fixture).read_text())
     assert_same(json.loads(out.read_text()), want)
 
 
-def test_simulate_reports(tmp_path):
+@pytest.mark.parametrize("scenario, n, flags", [
+    ("ompm", 500, ["--estimators", ",".join(TABLE2_ALL_METHODS)]),
+    ("table1-binary", 300, []),
+    ("table1-continuous", 300, []),
+])
+def test_simulate_reports(tmp_path, scenario, n, flags):
     out = tmp_path / "study.csv"
-    assert main(["simulate", "--scenario", "ompm", "--n", "500", "--reps", "3",
-                 "--seed", "5", "--estimators", ",".join(TABLE2_ALL_METHODS),
-                 "--out", str(out)]) == 0
-    for name, path in (("simulate_ompm.csv", out),
-                       ("simulate_ompm_raw.csv", tmp_path / "study_raw.csv")):
+    assert main(["simulate", "--scenario", scenario, "--n", str(n), "--reps", "3",
+                 "--seed", "5", *flags, "--out", str(out)]) == 0
+    for name, path in ((f"simulate_{scenario}.csv", out),
+                       (f"simulate_{scenario}_raw.csv", tmp_path / "study_raw.csv")):
         want = csv_cells((GOLDEN / name).read_text())
         assert_same(csv_cells(path.read_text()), want, name)
+
+
+def first_float_scaled(value, factor):
+    """value with its first float (depth first) multiplied by factor."""
+    if isinstance(value, float):
+        return value * factor, True
+    items = list(value.items()) if isinstance(value, dict) else (
+        list(enumerate(value)) if isinstance(value, list) else [])
+    for key, item in items:
+        scaled, done = first_float_scaled(item, factor)
+        if done:
+            copy = dict(value) if isinstance(value, dict) else list(value)
+            copy[key] = scaled
+            return copy, True
+    return value, False
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+def test_assert_same_sees_a_perturbed_fixture(name):
+    text = (GOLDEN / name).read_text()
+    want = json.loads(text) if name.endswith(".json") else csv_cells(text)
+    perturbed, done = first_float_scaled(want, 1.0 + 1e-9)
+    assert done
+    assert_same(want, want, name)
+    with pytest.raises(AssertionError):
+        assert_same(perturbed, want, name)

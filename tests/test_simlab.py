@@ -9,21 +9,117 @@ of a closed-form bread. The Table-1 values were recorded at commit
 relative.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mnarcause import (
     Example1Params,
+    ExtremeWeight,
     MiOptions,
     ScenarioConfig,
     example1_grid_compare,
     example1_observed_density,
+    generate_table1,
     generate_table2,
     run_monte_carlo,
     simlab,
     tau_mi,
 )
 from mnarcause.simlab import TABLE2_ALL_METHODS
+
+# SHA-256 over the bytes of a, y and c (NaNs included) of the data drawn
+# for seeds 0-4; a change to any draw, however small, changes them
+DATA_DIGESTS = {
+    ("table1", "binary", 200): [
+        "ce7bb5937ba7c97f929969406f313692ac4e3f5d98e9f8b81dea6fee169bb3dc",
+        "6b449ed6889ff06831690c08f0ff1bef9a146ec87ce3d14e84c7d3114d8b050c",
+        "bcc32c0a564efd650a2a14c6056406ad815335cdb81a2610e5bff503bcafd22a",
+        "1262ca3ea6ffa6fa39163861cccd69155d00d2cd54658f2efffd461f1b5a14a2",
+        "a87a20f95c959c77a32ca48d8d383a63a84ee0b5767c26c6e8ee4c54c6cb3a6a"],
+    ("table1", "continuous", 200): [
+        "67ae7733c299467feb0c75aad2a451ef4125c783d3dbd8947684091acf1ada00",
+        "8d40a5a3e0c0466d030266f86339dc4194d1770370c01d9034caa73e59c59d20",
+        "5992f696dd1cafc07fb6b3099d7fbdca2df605bd9882cc6bc18953ef927f1786",
+        "05b353a9d92c80bf02ea3a92132195e125adcbc033cb137e77a420432cfd05b9",
+        "651a99ff946ad7ef81d4417cd4e0f1db177bc6c50a49ca65f77bc3fe863e97aa"],
+    ("table2", "ocpc", 2000): [
+        "9787fb5575435fb9ce88d6ea771f08d15d2deb91cd6b21b9d145b0d0054b74df",
+        "a4423aaf3383a6e96385a61fa24c4877ceb736b596da38aeb78a0444235f8c43",
+        "c2c7a2ef3d67be1bab5990c3aee80a5d835c72c13e5beeb0afde28ce9ab8e56f",
+        "3a90b6142bb0ae1f437b942d6ae55f257395bd7528ebb404e37b407b284ca77f",
+        "7bddccadd041d9f4885e49f0f25b0974f3759562d878769246139eb8c310d12f"],
+    ("table2", "ocpm", 2000): [
+        "585e28ada20be008713d0b4b4616e79e39d74ac641bbcc338d3bb0d9129e83d5",
+        "69a3faea2ec179aa5cb2acc526bd972b633d051a202d9989e9045bce56d31e94",
+        "2a1454ae44c55547866a23fd1c86615d5965cf21391de82cc1d205ec990a89a6",
+        "3e7e09ec6182c39d9df36e20cf60799c18db457808e50554e4f77b1de28ebd00",
+        "fad9ab7d92372d86d89a72724bb145e8394ee6702bb1e550cbbe34261ae19b25"],
+    ("table2", "ompc", 2000): [
+        "b16826f1acf1347f50cdc5b29d5c36a79259013837f25a4dddc890ad96f261ed",
+        "af547f4ca3d4672d24b90f047cd9a3455cc28b0db6cdc3e7b5e37681ce533b9c",
+        "a0790d28fda69dd3f027c3aaf399be6d85bc0aa69b5b7b8f5d7f4b6914e9784d",
+        "92fdf7c6c2e3251d74835f3a934e646de321fac701736fba3737b54453f823ac",
+        "45c740a7def6368dfdfc0ba3bd3f4a7bff237966ea27288302a50939db7f95aa"],
+    ("table2", "ompm", 2000): [
+        "b8129e45dc2cd5e0554c7a4f77595ab8bfd690c3b46fd626dd8fa9cb7e380e8d",
+        "67a331f52ebf88360f75d5f5ca317fbfd79b07e9ac41e06b8046d3d76ec6bfa7",
+        "010871790cd8f43e257778fe40069f417167b210fb3efd19ea3fab263944b9d2",
+        "302cd8266e44fb71ca970de88a99ff2c1c250a5bb3ceda5755c72dd4a6078e3f",
+        "30750551c51e1d4ae41d949b78a7f0bf2a25bdce7847b2475568d17b27f00430"],
+}
+
+
+@pytest.mark.parametrize("table, kind, n", sorted(DATA_DIGESTS))
+def test_generated_data_are_frozen(table, kind, n):
+    generate = generate_table1 if table == "table1" else generate_table2
+    got = []
+    for seed in range(5):
+        d = generate(kind, n, seed)[0]
+        h = hashlib.sha256()
+        for arr in (d.a, d.y, d.c):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        got.append(h.hexdigest())
+    assert got == DATA_DIGESTS[(table, kind, n)]
+
+
+# Replications of run_monte_carlo(ScenarioConfig(scenario, n=2000,
+# replications=5, seed=t)) in which the known-alpha WEE estimators raise
+# ExtremeWeight: (scenario, t, replication, largest true r/M of that
+# replication, the methods that fail, the message). In the ompm case every
+# weight r/M is under the 1e4 cap, and wee-or succeeds; it is the
+# propensity weight 1/H that passes the cap.
+EXTREME_WEIGHT_REPLICATIONS = [
+    ("ompm", 3747075308, 4, 6564.09, ("wee-ipw", "wee-dr"),
+     "propensity weight 1/H beyond cap"),
+    ("ompc", 60314408, 1, 10218.8, ("wee-or", "wee-ipw", "wee-dr"),
+     "weight 1.02e+04 beyond cap 1e+04"),
+    ("ocpc", 65315727, 2, 18958.9, ("wee-or", "wee-ipw", "wee-dr"),
+     "weight 1.9e+04 beyond cap 1e+04"),
+    ("ompc", 2545194586, 3, 34279.7, ("wee-or", "wee-ipw", "wee-dr"),
+     "weight 3.43e+04 beyond cap 1e+04"),
+]
+
+
+@pytest.mark.parametrize("scenario, seed, rep, largest, failing, message",
+                         EXTREME_WEIGHT_REPLICATIONS)
+def test_replication_failing_on_extreme_weight(scenario, seed, rep, largest,
+                                               failing, message):
+    config = ScenarioConfig(scenario, n=2000, replications=5, seed=seed)
+    report = run_monte_carlo(config)
+    assert {tm.method: tm.failures for tm in report.metrics} == {
+        m: int(m in failing) for m in config.estimators}
+    assert {m for m, i, _ in report.raw if i == rep} == (
+        set(config.estimators) - set(failing))
+    data_seed, est_seed = np.random.SeedSequence((seed, rep)).spawn(2)
+    d, truth = generate_table2(scenario, 2000, data_seed)
+    assert (d.r / truth.missing_prob).max() == pytest.approx(largest, rel=1e-5)
+    results = simlab._rep_table2(d, config.estimators, est_seed.spawn(2),
+                                 MiOptions())
+    for m in failing:
+        assert isinstance(results[m], ExtremeWeight), m
+        assert str(results[m]) == message, m
 
 # scenario -> method -> (estimates of replications 0, 1, 2, mean_se,
 # coverage, failures); n=500, 3 replications, seed 2024, all nine methods,
