@@ -7,10 +7,19 @@ those models, where the estimand is the average treatment effect (3 by
 construction). A separate closed-form density pair demonstrates that two
 different parameter sets can induce identical observed-data distributions
 when the missingness model is unrestricted.
+
+Normal variates are drawn by inverse CDF, one uniform each, through a
+numpy port of Cephes ndtri. The tail logarithms go through libm's
+math.log, as in the compiled Cephes code, because numpy's vectorized log
+differs from it in the last bit on some inputs; the port is then
+bit-identical to scipy.special.ndtri (scipy 1.17.1), so every data set
+is the one drawn when scipy did the transform. The Example-1 integral
+uses composite Gauss-Legendre. The module needs numpy alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -122,12 +131,79 @@ class MonteCarloReport:
     raw: tuple  # (method, replication, estimate) long form
 
 
+# Cephes ndtri (Moshier 1989, Methods and Programs for Mathematical
+# Functions): Phi^-1(y) is a rational function of y - 1/2 in the middle;
+# in either tail it is x - log(x)/x less a rational function of 1/x, where
+# x = sqrt(-2 log y), with one set of coefficients below x = 8 and another
+# above. The leading 1 of each Q is the implicit one of Cephes's p1evl.
+_S2PI = 2.50662827463100050242
+_EXP_M2 = 0.13533528323661269189  # exp(-2), where the tails begin
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coef):
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # the log that compiled Cephes calls; np.log can differ in the last bit
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each u in [0, 1], operation for
+    operation Cephes ndtri, so bit-identical to scipy.special.ndtri (1.17.1)."""
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    ym = y - 0.5
+    y2 = ym * ym
+    out = (ym + ym * (y2 * _horner(y2, _P0) / _horner(y2, _Q0))) * _S2PI
+    t = np.flatnonzero((y <= _EXP_M2) & (y > 0.0))
+    x = np.sqrt(-2.0 * _libm_log(y[t]))
+    z = 1.0 / x
+    x1 = z * _horner(z, _P1) / _horner(z, _Q1)
+    far = x >= 8.0  # y below exp(-32)
+    x1[far] = z[far] * _horner(z[far], _P2) / _horner(z[far], _Q2)
+    x = x - _libm_log(x) / x - x1
+    out[t] = np.where(upper[t], x, -x)
+    out[u == 0.0] = -np.inf  # math.log(0) raises
+    out[u == 1.0] = np.inf
+    return out
+
+
 def _draw_normal(rng, n: int) -> np.ndarray:
-    # inverse-CDF transform keeps the stream reproducible for a given
-    # generator state regardless of how many variates other draws consumed;
-    # scipy is imported here so that importing the package does not load it
-    from scipy.special import ndtri
-    return ndtri(rng.random(n))
+    # an inverse CDF takes exactly one uniform per variate, so a stream
+    # depends on the generator state alone; with libm's log in the tails,
+    # the port is bit-identical to scipy.special.ndtri (scipy 1.17.1), so
+    # every data set is the one drawn when scipy did the transform
+    return _ndtri(rng.random(n))
 
 
 def generate_table1(kind: str, n: int, seed) -> tuple:
@@ -409,39 +485,89 @@ def _normal_pdf(x, mean, var):
     return np.exp(-0.5 * (x - mean) ** 2 / var) / np.sqrt(2.0 * np.pi * var)
 
 
-def _example1_joint(p: Example1Params, a: float, c1: float, y: float) -> float:
-    """Joint density of (c1, a, y) before the missingness factor."""
+def _example1_joint(p: Example1Params, a: float, c1, y: float):
+    """Joint density of (c1, a, y) before the missingness factor, at each
+    c1."""
     dc = _normal_pdf(c1, p.eta, 1.0)
     pa = expit(c1 * c1 - 1.0)
     da = pa if a == 1 else 1.0 - pa
     dy = _normal_pdf(y, p.beta0 + p.beta1 * a * abs(c1), p.phi)
-    return float(dc * da * dy)
+    return dc * da * dy
+
+
+_GL_NODES = 40  # the coarse rule of each panel; the fine rule has twice as many
+
+
+@functools.cache
+def _legendre_rules():
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(_GL_NODES), leggauss(2 * _GL_NODES)
+
+
+def _integrate(f, breaks: np.ndarray) -> float:
+    """Integral of the vectorized f over [breaks[0], breaks[-1]] by
+    composite Gauss-Legendre on the panels between the breaks. The
+    difference between the n- and 2n-node rules estimates each panel's
+    error; while their sum exceeds the tolerance, every panel above its
+    even share is halved. The 2n-node sum is returned."""
+    (xc, wc), (xf, wf) = _legendre_rules()
+
+    def panels(lo, hi):
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        fine = half * (f(mid[:, None] + half[:, None] * xf) @ wf)
+        coarse = half * (f(mid[:, None] + half[:, None] * xc) @ wc)
+        return fine, np.abs(fine - coarse)
+
+    lo, hi = breaks[:-1], breaks[1:]
+    fine, err = panels(lo, hi)
+    while lo.size <= 1000:
+        tol = 1e-13 * abs(fine.sum()) + 1e-17
+        if err.sum() <= tol:
+            return float(fine.sum())
+        split = err > tol / err.size
+        if not split.any():  # a NaN
+            break
+        mid = (lo[split] + hi[split]) / 2
+        fine2, err2 = panels(np.concatenate([lo[split], mid]),
+                             np.concatenate([mid, hi[split]]))
+        lo = np.concatenate([lo[~split], lo[split], mid])
+        hi = np.concatenate([hi[~split], mid, hi[split]])
+        fine = np.concatenate([fine[~split], fine2])
+        err = np.concatenate([err[~split], err2])
+    raise QuadratureFailure(f"integration error estimate {err.sum():.2e}")
 
 
 def example1_observed_density(p: Example1Params, a: float, c1, y: float,
                               r: int) -> float:
     """Observed-data density at one point. With the confounder observed the
     value is the closed-form product; with it missing, the confounder is
-    integrated out together with the probability of being missing."""
+    integrated out together with the probability of being missing, over
+    eta +- 10. The integrand has a kink at c1 = 0 and, for a = 1, the
+    outcome density peaks at c1 = +-(y - beta0)/beta1 with width
+    sqrt(phi)/|beta1|; the panels break there and eight widths to either
+    side, so a small phi cannot hide a peak between the nodes."""
     if a not in (0, 1) or r not in (0, 1):
         raise BadConfig("a and r must be 0 or 1")
     if r == 1:
         if c1 is None:
             raise BadConfig("observed branch requires the confounder value")
-        return _example1_joint(p, a, c1, y) * float(expit(p.alpha1 * c1))
+        return float(_example1_joint(p, a, c1, y) * expit(p.alpha1 * c1))
     if c1 is not None:
         raise BadConfig("missing branch must not receive a confounder value")
-
-    from scipy.integrate import quad
-
-    def integrand(c):
-        return _example1_joint(p, a, c, y) * float(1.0 - expit(p.alpha1 * c))
-
-    val, abserr = quad(integrand, p.eta - 10.0, p.eta + 10.0,
-                       epsabs=1e-10, epsrel=1e-12, limit=200)
-    if abserr > 1e-8:
-        raise QuadratureFailure(f"integration error estimate {abserr:.2e}")
-    return float(val)
+    lo, hi = p.eta - 10.0, p.eta + 10.0
+    breaks = [lo, 0.0, hi]
+    if a == 1 and p.beta1 != 0:
+        peak = (y - p.beta0) / p.beta1
+        width = 8.0 * math.sqrt(p.phi) / abs(p.beta1)
+        # nodes land on floats; across a peak only a few floats wide both
+        # rules would agree on the same wrong sum
+        if peak >= 0 and width < 2.0 ** 20 * np.spacing(peak):
+            raise QuadratureFailure(
+                f"outcome peak at {peak:.3g} too narrow to integrate")
+        breaks += [s * peak + d for s in (-1.0, 1.0) for d in (-width, 0.0, width)]
+    return _integrate(
+        lambda c: _example1_joint(p, a, c, y) * (1.0 - expit(p.alpha1 * c)),
+        np.unique(np.clip(breaks, lo, hi)))
 
 
 EXAMPLE1_GRID_POINTS = 10  # per axis of the (c1, y) grid on [-3, 3]

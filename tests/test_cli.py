@@ -496,8 +496,8 @@ class TestMethodFailingEveryReplication:
 
 
 def test_import_loads_no_scipy():
-    """scipy is needed only to generate synthetic data and for Example 1;
-    importing the package and its command line must not load it."""
+    """The package needs numpy alone; scipy serves only the tests as an
+    oracle. Importing the package and its command line must not load it."""
     src = os.path.dirname(os.path.dirname(mnarcause.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, mnarcause, mnarcause.cli; "

@@ -10,14 +10,25 @@ relative.
 """
 
 import hashlib
+import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
+
+import mnarcause
 
 from mnarcause import (
     Example1Params,
     ExtremeWeight,
     MiOptions,
+    QuadratureFailure,
     ScenarioConfig,
     example1_grid_compare,
     example1_observed_density,
@@ -82,6 +93,64 @@ def test_generated_data_are_frozen(table, kind, n):
             h.update(np.ascontiguousarray(arr).tobytes())
         got.append(h.hexdigest())
     assert got == DATA_DIGESTS[(table, kind, n)]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_normal_quantile_is_scipy_ndtri_bit_for_bit():
+    u = np.random.default_rng(20).random(1_000_000)
+    assert np.array_equal(bits(simlab._ndtri(u)), bits(ndtri(u)))
+
+
+def neighbours(x, k=3):
+    """x and its k nearest floats on either side."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+# the ends, the subnormals, both branch points exp(-2) and 1 - exp(-2),
+# the split of the tails at exp(-32), and the smallest gaps near 0 and 1
+EDGES = np.array([
+    0.0, 5e-324, 1e-310, 1e-300, 2.0 ** -53, 1e-20, 0.5, 1.0 - 2.0 ** -53, 1.0,
+    *neighbours(math.exp(-2.0)), *neighbours(1.0 - math.exp(-2.0)),
+    *neighbours(math.exp(-32.0)), *neighbours(1.0 - 2.0 ** -40),
+])
+
+
+def test_normal_quantile_edges():
+    assert np.array_equal(bits(simlab._ndtri(EDGES)), bits(ndtri(EDGES)))
+    assert simlab._ndtri(np.array([0.0, 1.0])).tolist() == [-np.inf, np.inf]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 1.0, allow_subnormal=True))
+def test_normal_quantile_property(u):
+    assert bits(simlab._ndtri(np.array([u]))) == bits(ndtri(u))
+
+
+def test_simlab_loads_no_scipy_or_numpy_polynomial():
+    """Drawing the study data and integrating the Example-1 density need
+    numpy alone; numpy.polynomial comes in with the quadrature only."""
+    src = os.path.dirname(os.path.dirname(mnarcause.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys; from mnarcause import simlab; "
+        "loaded = lambda: sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')); "
+        "simlab.generate_table2('ompm', 500, 1); print(loaded()); "
+        "p = simlab.Example1Params(1.0, 0.0, 1.0, 1.0, -2.0); "
+        "simlab.example1_observed_density(p, 1, None, 0.5, 0); "
+        "print(loaded())")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    first, second = out.splitlines()
+    assert first == "[]"
+    assert "numpy.polynomial.legendre" in second and "scipy" not in second
 
 
 # Replications of run_monte_carlo(ScenarioConfig(scenario, n=2000,
@@ -317,6 +386,72 @@ EXAMPLE1_B = Example1Params(eta=-1.0, beta0=0.0, beta1=1.0, phi=1.0, alpha1=2.0)
 ORACLE_R1 = 0.0099656829342648096  # a=1, c1=0.7, y=0.2
 ORACLE_R0 = 0.047354698756937915  # a=0, y=1.3, c1 integrated out
 
+# phi -> 40-digit mpmath r=0 densities on the example1-check grid, equal for
+# both sets: a = 0 then a = 1, each at y = linspace(-3, 3, 10)
+ORACLE_R0_GRID = {
+    1.0: [
+        0.0012246634227186164, 0.007245958223920276,
+        0.0274887590803019, 0.06686435729369497,
+        0.10428322278762199, 0.104283222787622,
+        0.06686435729369497, 0.02748875908030193,
+        0.007245958223920284, 0.0012246634227186164,
+        0.00011034798552665144, 0.0008612258051571146,
+        0.0046162076546848755, 0.017372954239012153,
+        0.04704428060435348, 0.09375125753583576,
+        0.13974309204247207, 0.15717684947853233,
+        0.13400283370648766, 0.08700592773451177,
+    ],
+    0.1: [
+        9.979073692865563e-21, 5.246637018748937e-13,
+        3.239471110125693e-07, 0.002348926923981442,
+        0.20001713546864192, 0.2000171354686422,
+        0.002348926923981442, 3.239471110125729e-07,
+        5.246637018748992e-13, 9.979073692865563e-21,
+        7.777551025146974e-23, 5.2334380748407665e-15,
+        4.475153301406143e-09, 5.217341086111255e-05,
+        0.010256839226072767, 0.07895604645913763,
+        0.17831910785414, 0.24043465534022482,
+        0.16127146212907684, 0.061300861683242926,
+    ],
+    0.01: [
+        4.0709627456405184e-196, 6.57270487419789e-119,
+        5.292260648290036e-61, 2.1262671045437538e-22,
+        0.004261816963994367, 0.00426181696399443,
+        2.1262671045437538e-22, 5.292260648290624e-61,
+        6.572704874198572e-119, 4.0709627456405184e-196,
+        3.239958030277208e-199, 6.53869735579211e-122,
+        7.490678414341115e-64, 4.960328671846096e-25,
+        2.798402759617371e-05, 0.07885598135195443,
+        0.17907444921651836, 0.2613665443966015,
+        0.1608505663709369, 0.054629826333559874,
+    ],
+    0.001: [
+        0.0, 0.0,
+        0.0, 2.4868141481224327e-217,
+        2.5993855393824404e-24, 2.599385539382825e-24,
+        2.4868141481224327e-217, 0.0,
+        0.0, 0.0,
+        0.0, 0.0,
+        0.0, 5.969213964531023e-221,
+        1.8204099765137397e-27, 0.07782300365385603,
+        0.17893112627657182, 0.2638984069555424,
+        0.1606364665189829, 0.053919138407883364,
+    ],
+    0.0001: [
+        0.0, 0.0,
+        0.0, 0.0,
+        5.8230730593617494e-241, 5.8230730593703695e-241,
+        0.0, 0.0,
+        0.0, 0.0,
+        0.0, 0.0,
+        0.0, 0.0,
+        4.240728365818666e-245, 0.0777168161536894,
+        0.17891353125540968, 0.2641572904415872,
+        0.16061301193317, 0.05384768092152813,
+    ],
+}
+EXAMPLE1_Y = np.linspace(-3.0, 3.0, simlab.EXAMPLE1_GRID_POINTS)
+
 
 @pytest.mark.parametrize("params", [EXAMPLE1_A, EXAMPLE1_B], ids=["A", "B"])
 def test_example1_density_matches_oracle(params):
@@ -326,8 +461,49 @@ def test_example1_density_matches_oracle(params):
         ORACLE_R0, rel=1e-12)
 
 
-def test_example1_sets_agree_on_grid():
-    assert example1_grid_compare(EXAMPLE1_A, EXAMPLE1_B)["max_rel"] <= 1e-12
+@pytest.mark.parametrize("phi", sorted(ORACLE_R0_GRID))
+@pytest.mark.parametrize("params", [EXAMPLE1_A, EXAMPLE1_B], ids=["A", "B"])
+def test_example1_integral_on_the_grid(params, phi):
+    """At phi <= 1e-3, a = 1, the outcome density is a peak of width
+    sqrt(phi) at c1 = +-y that an integral without breaks there misses:
+    (phi, y) = (1e-3, 7/3) and (1e-4, 5/3) read about 0 instead of 0.1606
+    and 0.2642."""
+    p = replace(params, phi=phi)
+    refs = iter(ORACLE_R0_GRID[phi])
+    for a in (0, 1):
+        for y in EXAMPLE1_Y:
+            ref = next(refs)
+            got = example1_observed_density(p, a, None, float(y), 0)
+            assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-16, (a, y, got, ref)
+
+
+@pytest.mark.parametrize("params", [EXAMPLE1_A, EXAMPLE1_B], ids=["A", "B"])
+@pytest.mark.parametrize("y, ref", [(-3.0, ORACLE_R0_GRID[1.0][10]),
+                                    (3.0, ORACLE_R0_GRID[1.0][19])])
+def test_example1_integral_across_the_kink(params, y, ref):
+    # the a = 1 integrand has a kink at c1 = 0
+    got = example1_observed_density(params, 1, None, y, 0)
+    assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("phi, message", [
+    (1e-20, "integration error estimate"),
+    (1e-30, "too narrow to integrate"),
+])
+def test_example1_integral_fails_on_too_sharp_a_peak(phi, message):
+    """At phi = 1e-20 the nodes cannot be placed finely enough for the n-
+    and 2n-node rules to agree; at 1e-30 the peak spans too few floats for
+    their agreement to mean anything."""
+    with pytest.raises(QuadratureFailure, match=message):
+        example1_observed_density(replace(EXAMPLE1_A, phi=phi), 1, None,
+                                  float(EXAMPLE1_Y[8]), 0)
+
+
+@pytest.mark.parametrize("phi", sorted(ORACLE_R0_GRID))
+def test_example1_sets_agree_on_grid(phi):
+    res = example1_grid_compare(replace(EXAMPLE1_A, phi=phi),
+                                replace(EXAMPLE1_B, phi=phi))
+    assert res["max_rel"] <= 1e-12
 
 
 def test_mi_methods_share_one_imputation(monkeypatch):
