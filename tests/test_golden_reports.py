@@ -65,12 +65,7 @@ def csv_cells(text: str) -> list:
     return [[cell(c) for c in row] for row in csv.reader(io.StringIO(text))]
 
 
-@pytest.mark.parametrize("fixture, kind, n, seed, flags", [
-    ("fit_all_nine_bootstrap20.json", "continuous", 400, 7, ["--bootstrap", "20"]),
-    ("fit_binary_all_nine_bootstrap5.json", "binary", 600, 3,
-     ["--outcome-family", "binary", "--bootstrap", "5"]),
-])
-def test_fit_report(tmp_path, fixture, kind, n, seed, flags):
+def check_fit(tmp_path, fixture, kind, n, seed, flags):
     data = tmp_path / "data.csv"
     data.write_text(emit_csv(generate_table1(kind, n, seed)[0]))
     out = tmp_path / "report.json"
@@ -82,12 +77,7 @@ def test_fit_report(tmp_path, fixture, kind, n, seed, flags):
     assert_same(json.loads(out.read_text()), want)
 
 
-@pytest.mark.parametrize("scenario, n, flags", [
-    ("ompm", 500, ["--estimators", ",".join(TABLE2_ALL_METHODS)]),
-    ("table1-binary", 300, []),
-    ("table1-continuous", 300, []),
-])
-def test_simulate_reports(tmp_path, scenario, n, flags):
+def check_simulate(tmp_path, scenario, n, flags):
     out = tmp_path / "study.csv"
     assert main(["simulate", "--scenario", scenario, "--n", str(n), "--reps", "3",
                  "--seed", "5", *flags, "--out", str(out)]) == 0
@@ -95,6 +85,26 @@ def test_simulate_reports(tmp_path, scenario, n, flags):
                        (f"simulate_{scenario}_raw.csv", tmp_path / "study_raw.csv")):
         want = csv_cells((GOLDEN / name).read_text())
         assert_same(csv_cells(path.read_text()), want, name)
+
+
+def test_fit_report(tmp_path):
+    check_fit(tmp_path, "fit_all_nine_bootstrap20.json", "continuous", 400, 7,
+              ["--bootstrap", "20"])
+
+
+def test_binary_fit_report(tmp_path):
+    check_fit(tmp_path, "fit_binary_all_nine_bootstrap5.json", "binary", 600, 3,
+              ["--outcome-family", "binary", "--bootstrap", "5"])
+
+
+def test_simulate_reports(tmp_path):
+    check_simulate(tmp_path, "ompm", 500,
+                   ["--estimators", ",".join(TABLE2_ALL_METHODS)])
+
+
+@pytest.mark.parametrize("scenario", ["table1-binary", "table1-continuous"])
+def test_table1_simulate_reports(tmp_path, scenario):
+    check_simulate(tmp_path, scenario, 300, [])
 
 
 def first_float_scaled(value, factor):
