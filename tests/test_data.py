@@ -120,6 +120,74 @@ class TestLoadCsv:
         assert load_csv(text, SCHEMA).n == 1
 
 
+NAN = float("nan")
+HEADER = "a,y,c1,c2"
+BOTH_ROWS = [(1.0, 2.5, 0.5, 1.0), (0.0, -1.0, NAN, 0.0)]
+
+# how load_csv reads each dialect: the rows (a, y, c1, c2) it returns, or
+# the exception it raises and its message
+DIALECT = [
+    ("plain", f"{HEADER}\n1,2.5,0.5,1\n0,-1,,0\n", BOTH_ROWS),
+    ("no final newline", f"{HEADER}\n1,2.5,0.5,1\n0,-1,,0", BOTH_ROWS),
+    ("blank line in the middle", f"{HEADER}\n1,2.5,0.5,1\n\n0,-1,,0\n",
+     (BadValue, "row 2 has 0 cells, header has 4")),
+    ("blank line at the end", f"{HEADER}\n1,2.5,0.5,1\n0,-1,,0\n\n",
+     (BadValue, "row 3 has 0 cells, header has 4")),
+    ("only blank lines", f"{HEADER}\n\n\n", (BadValue, "row 1 has 0 cells, header has 4")),
+    ("comment-like line", f"{HEADER}\n1,2.5,0.5,1\n#x,1,2\n0,-1,,0\n",
+     (BadValue, "row 2 has 3 cells, header has 4")),
+    ("comment-like cell", f"{HEADER}\n1,2.5,0.5,1\n#x,1,2,3\n",
+     (BadValue, "non-numeric cell '#x' in column 'a' at data row 2")),
+    ("CRLF line endings", f"{HEADER}\r\n1,2.5,0.5,1\r\n0,-1,,0\r\n", BOTH_ROWS),
+    ("space-padded cells", f"{HEADER}\n1, 2.5 ,0.5,\t1\n0,-1,,0\n", BOTH_ROWS),
+    ("quoted cells", f'{HEADER}\n"1","2.5","0.5","1"\n0,-1,"",0\n', BOTH_ROWS),
+    ("quoted header and NA", f'"a","y","c1","c2"\n1,2.5,0.5,1\n0,-1,NA,0\n', BOTH_ROWS),
+    ("quoted empty cell in y", f'{HEADER}\n1,"",0.5,1\n',
+     (BadValue, "missing value in column 'y' at data row 1")),
+    ("NA in y", f"{HEADER}\n1,NA,0.5,1\n",
+     (BadValue, "missing value in column 'y' at data row 1")),
+    ("short row", f"{HEADER}\n1,2.5,0.5\n0,-1,,0\n",
+     (BadValue, "row 1 has 3 cells, header has 4")),
+    ("long row", f"{HEADER}\n1,2.5,0.5,1\n0,-1,,0,9\n",
+     (BadValue, "row 2 has 5 cells, header has 4")),
+    ("every row long", f"{HEADER}\n1,2.5,0.5,1,9\n0,-1,,0,9\n",
+     (BadValue, "row 1 has 5 cells, header has 4")),
+    ("nan in y", f"{HEADER}\n1,nan,0.5,1\n0,-1,,0\n",
+     (BadValue, "non-finite cell 'nan' in column 'y' at data row 1")),
+    ("nan in c1", f"{HEADER}\n1,2.5,0.5,1\n0,-1,nan,0\n",
+     (BadValue, "non-finite cell 'nan' in column 'c1' at data row 2")),
+    ("inf in c2", f"{HEADER}\n1,2.5,0.5,inf\n",
+     (BadValue, "non-finite cell 'inf' in column 'c2' at data row 1")),
+    ("underscore digits", f"{HEADER}\n1,2_5,0.5,1\n",
+     [(1.0, 25.0, 0.5, 1.0)]),
+    ("exponents and signs", f"{HEADER}\n+1,2.5e-3,-.5,1E2\n",
+     [(1.0, 0.0025, -0.5, 100.0)]),
+    ("hexadecimal", f"{HEADER}\n1,0x10,0.5,1\n",
+     (BadValue, "non-numeric cell '0x10' in column 'y' at data row 1")),
+    ("UTF-8 byte order mark", f"\ufeff{HEADER}\n1,2.5,0.5,1\n0,-1,,0\n".encode(),
+     (SchemaMismatch, "column 'a' absent from header")),
+    ("blank cell in c1", f'{HEADER}\n1,2.5," ",1\n',
+     (BadValue, "non-numeric cell ' ' in column 'c1' at data row 1")),
+    ("treatment 2", f"{HEADER}\n2,2.5,0.5,1\n",
+     (BadValue, "treatment values must be 0 or 1")),
+    ("extra text column", f"id,{HEADER}\nx,1,2.5,0.5,1\ny,0,-1,,0\n", BOTH_ROWS),
+]
+
+
+@pytest.mark.parametrize("text, outcome", [case[1:] for case in DIALECT],
+                         ids=[case[0] for case in DIALECT])
+def test_dialect(text, outcome):
+    if isinstance(outcome, tuple):
+        kind, message = outcome
+        with pytest.raises(kind) as caught:
+            load_csv(text, SCHEMA)
+        assert type(caught.value) is kind and str(caught.value) == message
+    else:
+        d = load_csv(text, SCHEMA)
+        got = np.column_stack([d.a, d.y, d.c])
+        assert np.array_equal(got, np.array(outcome), equal_nan=True)
+
+
 class TestRoundTrip:
     def test_round_trip_preserves_values_and_missingness(self):
         d = small_dataset(r_pattern=(1, 0, 1))

@@ -11,7 +11,12 @@
   --n 500 --reps 3 --seed 5` with all nine methods;
 - simulate_table1-binary.csv, simulate_table1-continuous.csv and their
   _raw files: `simulate --scenario table1-binary` (and
-  `table1-continuous`) `--n 300 --reps 3 --seed 5`.
+  `table1-continuous`) `--n 300 --reps 3 --seed 5`;
+- cli_runs.json: the exit code, standard output and standard error of
+  `example1-check` at the default phi and at `--phi 1e-3`, and of `fit`
+  with estimated alpha on generate_table2("ocpc", 2000, 1), which exits 3
+  with one SingularJacobian line. Numbers in the text are compared as
+  floats.
 
 Strings and integers must match exactly, and floats to 1e-12 relative. A
 deliberate change to these numbers updates the fixtures and says so in
@@ -22,11 +27,12 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from mnarcause import emit_csv, generate_table1
+from mnarcause import emit_csv, generate_table1, generate_table2
 from mnarcause.cli import main
 from mnarcause.simlab import TABLE2_ALL_METHODS
 
@@ -105,6 +111,41 @@ def test_simulate_reports(tmp_path):
 @pytest.mark.parametrize("scenario", ["table1-binary", "table1-continuous"])
 def test_table1_simulate_reports(tmp_path, scenario):
     check_simulate(tmp_path, scenario, 300, [])
+
+
+NUMBER = re.compile(r"(\d+(?:\.\d+)?e[-+]?\d+)")
+
+
+def text_pieces(text: str) -> list:
+    """text split at its numbers in exponent notation: the pieces between
+    them as strings, the numbers as floats."""
+    return [float(p) if i % 2 else p for i, p in enumerate(NUMBER.split(text))]
+
+
+CLI_RUNS = {
+    "example1-check": ["example1-check"],
+    "example1-check --phi 1e-3": ["example1-check", "--phi", "1e-3"],
+    "fit ocpc 2000 1": ["fit", "--treatment", "a", "--outcome", "y",
+                        "--confounders", "c1,c2", "--missing", "c1"],
+}
+
+
+def run_cli(name, tmp_path, capsys) -> dict:
+    argv = CLI_RUNS[name]
+    if argv[0] == "fit":
+        data = tmp_path / "ocpc.csv"
+        data.write_text(emit_csv(generate_table2("ocpc", 2000, 1)[0]))
+        argv = [*argv, "--data", str(data)]
+    code = main(argv)
+    out = capsys.readouterr()
+    return {"exit_code": code, "stdout": text_pieces(out.out),
+            "stderr": text_pieces(out.err)}
+
+
+@pytest.mark.parametrize("name", list(CLI_RUNS))
+def test_cli_run(tmp_path, capsys, name):
+    want = json.loads((GOLDEN / "cli_runs.json").read_text())[name]
+    assert_same(run_cli(name, tmp_path, capsys), want, name)
 
 
 def first_float_scaled(value, factor):
