@@ -113,21 +113,40 @@ class Dataset:
 def load_csv(source, schema: Schema) -> Dataset:
     """Parse a UTF-8 CSV with a header row under the given column roles.
 
-    An empty cell or the literal "NA" in the designated missing column sets
-    r=0; such cells elsewhere, and non-finite numbers anywhere, raise BadValue.
+    source is a str, bytes, or a file object opened in text or binary
+    mode. The dialect accepted:
+    - cells separated by commas, records ended by LF or CRLF; a leading
+      UTF-8 byte order mark is dropped;
+    - a cell may be quoted with double quotes, within which commas and
+      line breaks are part of the cell and a doubled quote stands for one;
+    - the header row names the columns; each role's column appears in it
+      exactly once, other columns may come in any number and are not read;
+    - every data row has as many cells as the header, so a blank line, a
+      short or long row and a line starting with "#" are errors;
+    - a cell is a number as Python's float() reads it: surrounding
+      whitespace, a sign, exponents and digit underscores are allowed;
+    - an empty cell or the literal "NA" in the designated missing column
+      sets r=0; such cells elsewhere, non-numeric cells and non-finite
+      numbers ("nan", "inf") anywhere raise BadValue, which names the
+      first bad cell by column and data row;
+    - the treatment is 0 or 1.
+
+    The rows are read by numpy's C reader. Any input it does not take as it
+    stands goes through the per-cell loop (_parse_rows), which decides as
+    the C reader would where both decide and names the first bad cell.
     """
-    if isinstance(source, (str, bytes)):
-        text = source.decode("utf-8") if isinstance(source, bytes) else source
-        reader = csv.reader(io.StringIO(text))
-    else:
-        raw = source.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        reader = csv.reader(io.StringIO(raw))
-    rows = list(reader)
-    if not rows:
+    raw = source if isinstance(source, (str, bytes)) else source.read()
+    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
+    ends = [0]  # where each line the header record takes ends
+
+    def lines():
+        while ends[-1] < len(text):
+            ends.append(text.find("\n", ends[-1]) + 1 or len(text))
+            yield text[ends[-2]:ends[-1]]
+
+    header = next(csv.reader(lines()), None)
+    if header is None:
         raise EmptyData("no header row")
-    header = rows[0]
     for role in (schema.treatment, schema.outcome) + schema.confounders:
         if role not in header:
             raise SchemaMismatch(f"column {role!r} absent from header")
@@ -135,9 +154,52 @@ def load_csv(source, schema: Schema) -> Dataset:
             raise SchemaMismatch(
                 f"column {role!r} appears {header.count(role)} times in the header")
     col = {name: header.index(name) for name in header}
-    body = rows[1:]
-    if not body:
+    if ends[-1] == len(text):
         raise EmptyData("no data rows")
+    cells = _read_cells(text, raw, len(ends) - 1, len(header), col, schema)
+    if cells is None:
+        body = list(csv.reader(io.StringIO(text[ends[-1]:])))
+        return _parse_rows(body, len(header), col, schema)
+    return Dataset(cells[:, col[schema.treatment]].copy(), cells[:, col[schema.outcome]].copy(),
+                   cells[:, [col[name] for name in schema.confounders]], schema)
+
+
+def _read_cells(text: str, raw, header_lines: int, width: int, col: dict,
+                schema: Schema):
+    """Every cell of the data rows, read by numpy's C reader, as an
+    (n, width) array, with NaN where a missing marker stands in the
+    designated missing column. None where the C reader would decide
+    otherwise than the per-cell loop, or does not decide: a blank line,
+    which it skips; rows of another length; a cell that is not a finite
+    number; a missing marker outside the designated column."""
+    if "\n\n" in text or "\n\r\n" in text:
+        return None
+
+    def designated(cell: str) -> float:
+        if cell in MISSING_MARKERS:
+            return np.nan
+        value = float(cell)
+        if not math.isfinite(value):
+            raise ValueError(cell)
+        return value
+
+    try:
+        encoded = raw if isinstance(raw, bytes) else text.encode("utf-8")
+        cells = np.loadtxt(io.BytesIO(encoded), delimiter=",", comments=None,
+                           quotechar='"', skiprows=header_lines, ndmin=2,
+                           encoding="utf-8", converters={col[schema.missing]: designated})
+    except ValueError:
+        return None
+    others = [col[name] for name in (schema.treatment, schema.outcome) + schema.confounders
+              if name != schema.missing]
+    if cells.shape[1] != width or not np.isfinite(cells[:, others]).all():
+        return None
+    return cells
+
+
+def _parse_rows(body: list, width: int, col: dict, schema: Schema) -> Dataset:
+    """The data rows, lists of cells, one cell at a time; raises BadValue
+    at the first bad cell."""
 
     def parse(cell: str, name: str, line: int) -> float:
         if cell in MISSING_MARKERS:
@@ -157,14 +219,12 @@ def load_csv(source, schema: Schema) -> Dataset:
     y = np.empty(n)
     c = np.empty((n, len(schema.confounders)))
     for i, record in enumerate(body):
-        if len(record) != len(header):
-            raise BadValue(f"row {i + 1} has {len(record)} cells, header has {len(header)}")
+        if len(record) != width:
+            raise BadValue(f"row {i + 1} has {len(record)} cells, header has {width}")
         a[i] = parse(record[col[schema.treatment]], schema.treatment, i + 1)
         y[i] = parse(record[col[schema.outcome]], schema.outcome, i + 1)
         for j, name in enumerate(schema.confounders):
             c[i, j] = parse(record[col[name]], name, i + 1)
-    if not np.isin(a, (0.0, 1.0)).all():
-        raise BadValue("treatment values must be 0 or 1")
     return Dataset(a, y, c, schema)
 
 

@@ -505,3 +505,20 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_fit_without_bootstrap_loads_no_random_module(data, tmp_path):
+    """numpy.random, and OpenSSL's _hashlib which it pulls in through
+    secrets, cost a cold fit about 6 MB of memory; only the bootstrap, MI
+    and the stage-one restarts draw random numbers."""
+    src = os.path.dirname(os.path.dirname(mnarcause.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["fit", "--data", str(data), *COLUMNS, "--estimators",
+            "wee-or,wee-ipw,wee-dr,cc-or,cc-ipw,cc-aipw",
+            "--out", str(tmp_path / "report.csv")]
+    probe = ("import sys; from mnarcause.cli import main; "
+             f"code = main({argv!r}); "
+             "print(code, [m for m in ('numpy.random', '_hashlib') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
