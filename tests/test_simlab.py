@@ -297,16 +297,16 @@ def test_table2_scenario_pinned(scenario):
 # coverage, failures); n=500, 3 replications, seed 2024, 5 imputations
 PINNED_TABLE1 = {
     "table1-binary": {
-        "wee:gamma0": ([0.5847374717805983, 0.3788782942388507],
-                  0.12598707118995223, 1.0, 1),
-        "wee:gamma1": ([0.5874532164242566, 0.6135337347086476],
-                  0.12024147035184157, 1.0, 1),
-        "wee:beta0": ([0.7726328223714835, 0.5680207669417336],
-                  0.20775574292809895, 1.0, 1),
-        "wee:beta1": ([0.9946657216402615, 1.5259094563362336],
-                  0.3728409854125786, 1.0, 1),
-        "wee:beta2": ([-0.35195057775911803, -0.5266138355772185],
-                  0.1978618612058251, 1.0, 1),
+        "wee:gamma0": ([0.5847374718532488, 0.3788782950007566],
+                  0.12598707105532875, 1.0, 1),
+        "wee:gamma1": ([0.5874532164399039, 0.6135337349846063],
+                  0.12024147001021619, 1.0, 1),
+        "wee:beta0": ([0.7726328231075043, 0.5680207692924746],
+                  0.20775574320742773, 1.0, 1),
+        "wee:beta1": ([0.994665721632443, 1.5259094570788145],
+                  0.37284098598413606, 1.0, 1),
+        "wee:beta2": ([-0.35195057720935385, -0.5266138360360554],
+                  0.19786186083207807, 1.0, 1),
         "cc:gamma0": ([0.6450143623567178, 0.5910410196407612, 0.472659113534519],
                   0.12297473389372138, 1.0, 0),
         "cc:gamma1": ([0.597757622211107, 0.6522000273533538, 0.6921429385637726],
@@ -329,16 +329,16 @@ PINNED_TABLE1 = {
                   0.14868570787883914, 0.6666666666666666, 0),
     },
     "table1-continuous": {
-        "wee:gamma0": ([0.5490424817382065, 0.39121101867236824, 0.27555808926476216],
-                  0.1415026190018325, 0.6666666666666666, 0),
-        "wee:gamma1": ([0.5775554659308195, 0.493933047175263, 0.5822189066897793],
-                  0.16920655813639482, 1.0, 0),
-        "wee:beta0": ([0.3544300719204444, 0.6353289471988064, 0.4835788854921604],
-                  0.10948709826185994, 1.0, 0),
-        "wee:beta1": ([1.7686250910388073, 1.3800249416674897, 1.6491598586511338],
-                  0.14987663110818114, 1.0, 0),
-        "wee:beta2": ([-0.4764977064843411, -0.4593948680945851, -0.6226856037134811],
-                  0.09301366608227944, 1.0, 0),
+        "wee:gamma0": ([0.549042481773868, 0.3912110186727586, 0.2755580892647592],
+                  0.14150261900345337, 0.6666666666666666, 0),
+        "wee:gamma1": ([0.5775554659670573, 0.4939330471757026, 0.582218906689804],
+                  0.1692065581353374, 1.0, 0),
+        "wee:beta0": ([0.35443007192621434, 0.6353289471988977, 0.48357888549213607],
+                  0.10948709826228127, 1.0, 0),
+        "wee:beta1": ([1.7686250910519123, 1.3800249416677182, 1.6491598586511775],
+                  0.14987663110856386, 1.0, 0),
+        "wee:beta2": ([-0.4764977064767989, -0.4593948680943583, -0.6226856037134694],
+                  0.09301366608185985, 1.0, 0),
         "cc:gamma0": ([1.1927331225716336, 0.8405702668949638, 0.8946190396742407],
                   0.1475427888104144, 0.0, 0),
         "cc:gamma1": ([0.34436868250013414, 0.31582804930444375, 0.48284292129392425],
