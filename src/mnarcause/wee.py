@@ -635,6 +635,7 @@ def _solve_alpha(stack: WeeStack, restart_seed) -> tuple[np.ndarray, int, int]:
     one is."""
     dz = stack.design
     init = _naive_alpha_init(dz)
+    stats: dict = {}
     if "1" in dz.gspec.components:
         system, full = _profiled_system(dz)
 
@@ -646,7 +647,6 @@ def _solve_alpha(stack: WeeStack, restart_seed) -> tuple[np.ndarray, int, int]:
 
         def solve(start):
             return solve_root(system, start, stats=stats)
-    stats: dict = {}
     try:
         root = solve(init)
         return root, stats.get("iterations", 0), 0

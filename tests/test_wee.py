@@ -31,10 +31,15 @@ from mnarcause import (
     fit_model,
     fit_wee,
     generate_table1,
+    generate_table2,
     numeric_jacobian,
     resample,
     sandwich_covariance,
+    tau_wee_dr,
+    tau_wee_ipw,
+    tau_wee_or,
 )
+from mnarcause import wee
 from mnarcause.glm import GAUSSIAN, expit
 from mnarcause.wee import g_matrix
 
@@ -506,3 +511,120 @@ class TestCountedDesign:
         copied = fit_wee(d.subset(idx), known_alpha=alpha, covariance=False)
         np.testing.assert_allclose(fitted.beta.coefficients,
                                    copied.beta.coefficients, rtol=1e-12)
+
+
+# datasets whose stage one converges: both Table-1 designs, a Table-2 design
+# and two confounders of which one is fully observed
+STAGE_ONE_DATA = {
+    "table1-continuous": generate_table1("continuous", 2000, 11)[0],
+    "table1-binary": generate_table1("binary", 2000, 3)[0],
+    "table2-ompm": generate_table2("ompm", 4000, 5)[0],
+    "two-confounders": two_confounder_dataset(n=2000, seed=6)[0],
+}
+
+
+def relative(got, want):
+    return np.max(np.abs(np.asarray(got) - want) / np.abs(want))
+
+
+class TestProfiledStageOne:
+    """Stage one with the intercept profiled out and the root polished."""
+
+    @pytest.mark.parametrize("name", sorted(STAGE_ONE_DATA))
+    def test_root_does_not_depend_on_the_start(self, name, monkeypatch):
+        d = STAGE_ONE_DATA[name]
+        naive = fit_wee(d, covariance=False).alpha.coefficients
+        start = wee._naive_alpha_init
+        monkeypatch.setattr(wee, "_naive_alpha_init",
+                            lambda dz: start(dz) + np.linspace(0.2, -0.2, len(naive)))
+        moved = fit_wee(d, covariance=False).alpha.coefficients
+        assert relative(moved, naive) < 1e-14
+
+    @pytest.mark.parametrize("name", sorted(STAGE_ONE_DATA))
+    def test_root_solves_the_full_moment_equations(self, name):
+        # the intercept's closed form solves the constant's equation, and
+        # the polish takes the others to rounding level
+        d = STAGE_ONE_DATA[name]
+        fitted = fit_wee(d, covariance=False)
+        system = WeeStack(fitted.design, True).moment_system()
+        residual = np.abs(system.psi(fitted.alpha.coefficients).mean(axis=0))
+        assert residual.max() < 1e-14 * np.abs(fitted.design.G).max()
+        assert fitted.diagnostics.residual_sup["alpha"] == pytest.approx(
+            residual.max(), abs=1e-15)
+
+    def test_profiled_jacobian_is_minus_the_tilted_covariance(self):
+        d = STAGE_ONE_DATA["two-confounders"]
+        spec = ModelSpec.default_for(d.schema)
+        system, full = wee._profiled_system(Design(d, spec, default_G(spec, d.schema)))
+        alpha_rest = np.array([-0.4, 0.2, 0.3])
+        jacobian_oracle_check(system, alpha_rest)
+        # the first equation of the full system holds at the profiled intercept
+        full_system = WeeStack(Design(d, spec, default_G(spec, d.schema)),
+                               True).moment_system()
+        assert abs(full_system.psi(full(alpha_rest)).mean(axis=0)[0]) < 1e-15
+
+    def test_without_the_constant_the_full_system_is_solved(self, monkeypatch):
+        d = STAGE_ONE_DATA["table1-continuous"]
+        spec = ModelSpec(missing_covariates=("y",), propensity_covariates=("c1",),
+                         outcome_covariates=("a", "c1"))
+
+        def refuse(dz):
+            raise AssertionError("profiled without a constant in G")
+
+        monkeypatch.setattr(wee, "_profiled_system", refuse)
+        fitted = fit_wee(d, spec, GSpec(("a", "y")), covariance=False)
+        assert fitted.diagnostics.residual_sup["alpha"] < 1e-8
+
+    def test_a_solve_without_progress_stops(self, monkeypatch):
+        # on this dataset the profiled iterates drift off along a valley; the
+        # solve stops on the stall test, not after MAX_ITER iterations
+        monkeypatch.setattr(wee, "RESTARTS", 0)
+        calls = []
+        original = wee.solve_root
+
+        def solve(system, init, stats=None):
+            calls.append(stats)
+            return original(system, init, stats=stats)
+
+        monkeypatch.setattr(wee, "solve_root", solve)
+        with pytest.raises(NoConvergence, match="fell less than 10-fold in 30 iterations"):
+            fit_wee(generate_table2("ocpc", 2000, 4)[0], covariance=False)
+        assert len(calls) == 1
+
+
+def wee_taus(d):
+    """(tau, se) of the three WEE estimators with estimated alpha."""
+    fitted = fit_wee(d)
+    return np.array([[est.tau, est.se] for est in
+                     (fn(fitted) for fn in (tau_wee_or, tau_wee_ipw, tau_wee_dr))])
+
+
+class TestMetamorphicEstimatedAlpha:
+    """Relations that hold whatever the data, now to rounding level because
+    the stage-one root no longer depends on the path that found it."""
+
+    @pytest.fixture(scope="class", params=sorted(STAGE_ONE_DATA))
+    def case(self, request):
+        d = STAGE_ONE_DATA[request.param]
+        return d, wee_taus(d)
+
+    def test_row_order_does_not_matter(self, case):
+        d, taus = case
+        permuted = d.subset(np.random.default_rng(0).permutation(d.n))
+        np.testing.assert_allclose(wee_taus(permuted), taus, rtol=1e-12, atol=0)
+
+    def test_counting_every_row_twice_divides_the_se_by_root_two(self, case):
+        d, taus = case
+        spec = ModelSpec.default_for(d.schema)
+        twice = Design(d, spec, default_G(spec, d.schema)).resampled(
+            np.repeat(np.arange(d.n), 2))
+        doubled = wee_taus(twice)
+        np.testing.assert_allclose(doubled[:, 0], taus[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(doubled[:, 1] * np.sqrt(2.0), taus[:, 1],
+                                   rtol=1e-12, atol=0)
+
+    def test_relabelling_the_treatment_negates_tau(self, case):
+        d, taus = case
+        relabelled = wee_taus(Dataset(1.0 - d.a, d.y, d.c, d.schema))
+        np.testing.assert_allclose(relabelled[:, 0], -taus[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(relabelled[:, 1], taus[:, 1], rtol=1e-10, atol=0)
