@@ -160,7 +160,8 @@ def load_csv(source, schema: Schema) -> Dataset:
     if cells is None:
         body = list(csv.reader(io.StringIO(text[ends[-1]:])))
         return _parse_rows(body, len(header), col, schema)
-    return Dataset(cells[:, col[schema.treatment]].copy(), cells[:, col[schema.outcome]].copy(),
+    return Dataset(cells[:, col[schema.treatment]].copy(),
+                   cells[:, col[schema.outcome]].copy(),
                    cells[:, [col[name] for name in schema.confounders]], schema)
 
 
