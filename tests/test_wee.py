@@ -563,6 +563,12 @@ class TestProfiledStageOne:
                                True).moment_system()
         assert abs(full_system.psi(full(alpha_rest)).mean(axis=0)[0]) < 1e-15
 
+    def test_the_constant_may_stand_anywhere_in_g(self):
+        d = STAGE_ONE_DATA["table1-continuous"]
+        first = fit_wee(d, gspec=GSpec(("1", "a", "y")), covariance=False)
+        middle = fit_wee(d, gspec=GSpec(("y", "1", "a")), covariance=False)
+        assert relative(middle.alpha.coefficients, first.alpha.coefficients) < 1e-14
+
     def test_without_the_constant_the_full_system_is_solved(self, monkeypatch):
         d = STAGE_ONE_DATA["table1-continuous"]
         spec = ModelSpec(missing_covariates=("y",), propensity_covariates=("c1",),
