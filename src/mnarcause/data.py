@@ -129,14 +129,20 @@ def load_csv(source, schema: Schema) -> Dataset:
       sets r=0; such cells elsewhere, non-numeric cells and non-finite
       numbers ("nan", "inf") anywhere raise BadValue, which names the
       first bad cell by column and data row;
-    - the treatment is 0 or 1.
+    - the treatment is 0 or 1;
+    - bytes that are not UTF-8, and a bare CR line break outside quotes,
+      raise BadValue.
 
     The rows are read by numpy's C reader. Any input it does not take as it
     stands goes through the per-cell loop (_parse_rows), which decides as
     the C reader would where both decide and names the first bad cell.
     """
     raw = source if isinstance(source, (str, bytes)) else source.read()
-    text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
+    try:
+        text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
+    except UnicodeDecodeError as err:
+        at = err.start + len(raw) - len(err.object)  # err.object lacks the BOM
+        raise BadValue(f"not UTF-8: byte 0x{raw[at]:02x} at offset {at}") from None
     ends = [0]  # where each line the header record takes ends
 
     def lines():
@@ -144,7 +150,10 @@ def load_csv(source, schema: Schema) -> Dataset:
             ends.append(text.find("\n", ends[-1]) + 1 or len(text))
             yield text[ends[-2]:ends[-1]]
 
-    header = next(csv.reader(lines()), None)
+    try:
+        header = next(csv.reader(lines()), None)
+    except csv.Error as err:
+        raise _malformed(err) from None
     if header is None:
         raise EmptyData("no header row")
     for role in (schema.treatment, schema.outcome) + schema.confounders:
@@ -158,11 +167,19 @@ def load_csv(source, schema: Schema) -> Dataset:
         raise EmptyData("no data rows")
     cells = _read_cells(text, raw, len(ends) - 1, len(header), col, schema)
     if cells is None:
-        body = list(csv.reader(io.StringIO(text[ends[-1]:])))
+        try:
+            body = list(csv.reader(io.StringIO(text[ends[-1]:])))
+        except csv.Error as err:
+            raise _malformed(err) from None
         return _parse_rows(body, len(header), col, schema)
     return Dataset(cells[:, col[schema.treatment]].copy(),
                    cells[:, col[schema.outcome]].copy(),
                    cells[:, [col[name] for name in schema.confounders]], schema)
+
+
+def _malformed(err: csv.Error) -> BadValue:
+    # the csv module's advice after " - " is for whoever opened the file
+    return BadValue(f"malformed CSV: {str(err).partition(' - ')[0]}")
 
 
 def _read_cells(text: str, raw, header_lines: int, width: int, col: dict,

@@ -2,18 +2,16 @@
 E_hat[psi(theta; row)] = 0: averaging, damped Newton root finding, and the
 A^{-1} B A^{-T} sandwich covariance (Stefanski & Boos 2002).
 
-A system is bound to its data: psi maps theta alone to the per-row
-values, one row per distinct data row. Each row may be counted several
-times, as in a bootstrap resample (Efron & Tibshirani 1993, the
-resampling vector P*; Chatterjee & Bose 2005): every average is then the
-count-weighted sum f @ psi / n, one matrix-vector product, with n the sum
-of the counts. Without counts each row counts once. A system may carry the
-closed-form Jacobian of its averaged equations; the solver and the
-sandwich use it when present. Systems without one fall back to
-numeric_jacobian at its default central-difference step; that function is
-also the oracle the closed forms are tested against. A system that builds
-its values and its Jacobian from shared pieces may also give both from one
-call, which the sandwich then makes once.
+A system is bound to its data: evaluate maps theta alone to the per-row
+values, one row per distinct data row, and, when asked, to the
+closed-form Jacobian of their average from the same pass. Each row may
+be counted several times, as in a bootstrap resample (Efron & Tibshirani
+1993, the resampling vector P*; Chatterjee & Bose 2005): every average is
+then the count-weighted sum f @ psi / n, one matrix-vector product, with
+n the sum of the counts. Without counts each row counts once.
+numeric_jacobian, the central-difference Jacobian of the averaged
+values, is the oracle the closed forms are tested against; no system
+here falls back to it.
 """
 
 from __future__ import annotations
@@ -32,16 +30,15 @@ HALVINGS = 30
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """psi maps theta to an (m, dim) matrix of per-row equation values.
-    jacobian, when given, maps theta to the (dim, dim) Jacobian of the
-    averaged equations, d mean(psi) / d theta. psi_and_jacobian, when
-    given, maps theta to the pair (psi, jacobian) at one point. counts,
-    when given, is the (m,) number of times each row is counted."""
+    """evaluate(theta, jacobian) returns the pair (values, J) at one point:
+    values the (m, dim) matrix of per-row equation values, and J, when
+    jacobian is set, the (dim, dim) Jacobian of the averaged equations,
+    d mean(psi) / d theta, else None. The values must not depend on
+    jacobian. counts, when given, is the (m,) number of times each row is
+    counted."""
 
-    psi: callable
+    evaluate: callable
     dim: int
-    jacobian: callable = None
-    psi_and_jacobian: callable = None
     counts: np.ndarray = None
 
 
@@ -51,7 +48,7 @@ def _counts(sys: EquationSystem, vals: np.ndarray) -> np.ndarray:
 
 def average_psi(sys: EquationSystem, theta: np.ndarray) -> np.ndarray:
     """Count-weighted average of the per-row equation values."""
-    vals = np.asarray(sys.psi(np.asarray(theta, dtype=float)))
+    vals = np.asarray(sys.evaluate(np.asarray(theta, dtype=float), False)[0])
     if vals.ndim != 2 or vals.shape[1] != sys.dim:
         raise NonFiniteEvaluation(
             f"psi returned shape {vals.shape}, expected (n, {sys.dim})"
@@ -62,7 +59,10 @@ def average_psi(sys: EquationSystem, theta: np.ndarray) -> np.ndarray:
 
 def numeric_jacobian(sys: EquationSystem, theta: np.ndarray,
                      step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of average_psi, column per parameter."""
+    """Central-difference Jacobian of average_psi, column per parameter:
+    the tests' oracle for every closed-form Jacobian. The benchmark's
+    tracer (perfbench/tracing.py) looks it up here, so it stays in the
+    package until that lookup goes; then it moves to tests/oracles."""
     theta = np.asarray(theta, dtype=float)
     p = sys.dim
     J = np.empty((p, p))
@@ -78,13 +78,6 @@ def numeric_jacobian(sys: EquationSystem, theta: np.ndarray,
             raise NonFiniteEvaluation(f"non-finite equation values near coordinate {j}")
         J[:, j] = (fu - fd) / (2.0 * h)
     return J
-
-
-def jacobian(sys: EquationSystem, theta: np.ndarray) -> np.ndarray:
-    """The system's closed-form Jacobian, or the numeric one without it."""
-    if sys.jacobian is None:
-        return numeric_jacobian(sys, theta)
-    return _finite_jacobian(sys.jacobian(np.asarray(theta, dtype=float)))
 
 
 def _finite_jacobian(J) -> np.ndarray:
@@ -122,7 +115,7 @@ def solve_root(sys: EquationSystem, init: np.ndarray, stats: dict = None) -> np.
         if np.abs(r).max() < TOL:
             record(it)
             return theta
-        J = jacobian(sys, theta)
+        J = _finite_jacobian(sys.evaluate(theta, True)[1])
         if np.linalg.cond(J) > COND_LIMIT:
             raise SingularJacobian("Jacobian condition number beyond 1e12")
         step = np.linalg.solve(J, -r)
@@ -159,12 +152,8 @@ def sandwich_covariance(sys: EquationSystem, theta_hat: np.ndarray,
     When a dict is passed as stats it receives the averaged equations at
     theta_hat as "average", from the same per-row values."""
     theta_hat = np.asarray(theta_hat, dtype=float)
-    if sys.psi_and_jacobian is None:
-        A = jacobian(sys, theta_hat)
-        vals = sys.psi(theta_hat)
-    else:
-        vals, A = sys.psi_and_jacobian(theta_hat)
-        A = _finite_jacobian(A)
+    vals, A = sys.evaluate(theta_hat, True)
+    A = _finite_jacobian(A)
     if np.linalg.cond(A) > COND_LIMIT:
         raise SingularJacobian("sandwich bread is numerically singular")
     vals = np.asarray(vals)

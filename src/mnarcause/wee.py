@@ -383,12 +383,6 @@ class WeeStack:
             parts.append([tau])
         return np.concatenate(parts)
 
-    def psi(self, theta) -> np.ndarray:
-        return self.evaluate(theta)[0]
-
-    def jacobian(self, theta) -> np.ndarray:
-        return self.evaluate(theta, jacobian=True)[1]
-
     def evaluate(self, theta, jacobian: bool = False):
         """(n, dim) per-row equation values and, with jacobian set, the
         (dim, dim) Jacobian of their average (else None)."""
@@ -456,27 +450,18 @@ class WeeStack:
         return vals, J
 
     def system(self) -> EquationSystem:
-        return EquationSystem(
-            psi=self.psi, dim=self.dim, jacobian=self.jacobian,
-            psi_and_jacobian=lambda theta: self.evaluate(theta, jacobian=True),
-            counts=self.design.counts)
+        return EquationSystem(self.evaluate, self.dim, self.design.counts)
 
     def moment_system(self) -> EquationSystem:
         """Stage one alone: the alpha block, which involves no other block.
-        Newton asks for the Jacobian at the point whose values it has just
-        accepted, so the tilt exp(-lp) of the last point is kept for it."""
+        Its values and Jacobian at a point come from one tilt exp(-lp)."""
         dz = self.design
-        last = [None, None]  # alpha, exp(-lp)
 
-        def tilt(alpha_coef):
-            if last[0] is None or not np.array_equal(last[0], alpha_coef):
-                last[:] = alpha_coef.copy(), dz.tilt(alpha_coef)[1]
-            return last[1]
+        def evaluate(alpha_coef, jacobian=False):
+            em = dz.tilt(alpha_coef)[1]
+            return _moments(dz, em), _moments_jacobian(dz, em) if jacobian else None
 
-        return EquationSystem(
-            psi=lambda alpha_coef: _moments(dz, tilt(alpha_coef)), dim=self.p_alpha,
-            jacobian=lambda alpha_coef: _moments_jacobian(dz, tilt(alpha_coef)),
-            counts=dz.counts)
+        return EquationSystem(evaluate, self.p_alpha, dz.counts)
 
 
 @dataclass(frozen=True)
@@ -538,7 +523,8 @@ def _profiled_system(dz: Design):
     The rows of the system are the complete rows, with the values of the
     full moment equations at (alpha_0, alpha~) less the constant's, and
     one row standing for all the missing rows: their mean G~, negated,
-    counted n_mis times. The averages are those of the full equations."""
+    counted n_mis times. The averages are those of the full equations.
+    The values and the Jacobian at a point come from one tilt."""
     complete = dz.complete
     g_rest = np.delete(dz.G, dz.gspec.components.index("1"), axis=1)
     g_complete = g_rest[complete]
@@ -546,42 +532,37 @@ def _profiled_system(dz: Design):
     f = dz.counts[complete]
     n_mis = dz.n - f.sum()
     g_missing = dz.counts[~complete] @ g_rest[~complete] / n_mis  # their mean
-    last = [None, None, None]  # alpha~, exp(-lp) on the complete rows, alpha_0
 
     def tilt(alpha_rest):
-        if last[0] is None or not np.array_equal(last[0], alpha_rest):
-            exponent = -(x_complete @ alpha_rest)
-            top = exponent.max()
-            shifted = np.exp(exponent - top)
-            total = f @ shifted
-            last[:] = (alpha_rest.copy(), shifted * (n_mis / total),
-                       top + np.log(total) - np.log(n_mis))
-        return last[1], last[2]
+        """exp(-lp) on the complete rows, and alpha_0."""
+        exponent = -(x_complete @ alpha_rest)
+        top = exponent.max()
+        shifted = np.exp(exponent - top)
+        total = f @ shifted
+        return shifted * (n_mis / total), top + np.log(total) - np.log(n_mis)
 
-    def psi(alpha_rest):
+    def evaluate(alpha_rest, jacobian=False):
+        em = tilt(alpha_rest)[0]
         vals = np.empty((len(f) + 1, g_rest.shape[1]))
-        np.multiply(tilt(alpha_rest)[0][:, None], g_complete, out=vals[:-1])
+        np.multiply(em[:, None], g_complete, out=vals[:-1])
         vals[-1] = -g_missing
-        return vals
-
-    def jacobian(alpha_rest):
-        w = f * tilt(alpha_rest)[0]  # sums to n_mis
+        if not jacobian:
+            return vals, None
+        w = f * em  # sums to n_mis
         g_centred = g_complete - w @ g_complete / n_mis
         x_centred = x_complete - w @ x_complete / n_mis
-        return -(g_centred * w[:, None]).T @ x_centred / dz.n
+        return vals, -(g_centred * w[:, None]).T @ x_centred / dz.n
 
     def full(alpha_rest):
         return np.concatenate([[tilt(alpha_rest)[1]], alpha_rest])
 
-    system = EquationSystem(psi=psi, dim=g_rest.shape[1], jacobian=jacobian,
-                            counts=np.append(f, n_mis))
-    return system, full
-
+    return EquationSystem(evaluate, g_rest.shape[1], np.append(f, n_mis)), full
 
 def _stall_guard(system: EquationSystem) -> EquationSystem:
-    """The system, with a Jacobian that first raises NoConvergence when the
-    residual norm, at the points Newton asks it for, has not fallen
-    STALL_FACTOR-fold over the last STALL_WINDOW of them: the test of
+    """The system, whose evaluation with the Jacobian raises NoConvergence
+    when the residual norm, taken from the values of that same pass at the
+    points Newton asks a Jacobian for, has not fallen STALL_FACTOR-fold
+    over the last STALL_WINDOW of them: the test of
     MINPACK's hybrd for a solve making no good progress (More, Garbow &
     Hillstrom 1980). Where the profiled system has no root, its iterates
     drift towards infinity along a valley of slowly falling residual.
@@ -591,34 +572,40 @@ def _stall_guard(system: EquationSystem) -> EquationSystem:
     test stops that one."""
     norms = []
 
-    def jacobian(theta):
-        r = average_psi(system, theta)
-        norms.append(np.linalg.norm(r))
-        if (len(norms) > STALL_WINDOW
-                and norms[-1] * STALL_FACTOR > norms[-1 - STALL_WINDOW]):
-            raise NoConvergence(
-                f"Newton stalled: residual sup-norm {np.abs(r).max():.3e} fell less "
-                f"than {STALL_FACTOR:g}-fold in {STALL_WINDOW} iterations")
-        return system.jacobian(theta)
+    def evaluate(theta, jacobian=False):
+        vals, J = system.evaluate(theta, jacobian)
+        if jacobian:
+            r = system.counts @ vals / system.counts.sum()  # as average_psi
+            norms.append(np.linalg.norm(r))
+            if (len(norms) > STALL_WINDOW
+                    and norms[-1] * STALL_FACTOR > norms[-1 - STALL_WINDOW]):
+                raise NoConvergence(
+                    f"Newton stalled: residual sup-norm {np.abs(r).max():.3e} fell "
+                    f"less than {STALL_FACTOR:g}-fold in {STALL_WINDOW} iterations")
+        return vals, J
 
-    return replace(system, jacobian=jacobian)
+    return replace(system, evaluate=evaluate)
 
 
 def _polish(system: EquationSystem, root: np.ndarray) -> np.ndarray:
     """Up to POLISH_STEPS full Newton steps from a root that solve_root
     accepted, each kept only if the residual norm does not rise. From a
     residual below TOL, quadratic convergence reaches rounding level, so
-    the root no longer depends on the path that found it."""
-    r = average_psi(system, root)
+    the root no longer depends on the path that found it. Each point is
+    evaluated once, its residual and Jacobian from the same pass."""
+    f = system.counts
+    vals, J = system.evaluate(root, True)
+    r = f @ vals / f.sum()
     for _ in range(POLISH_STEPS):
         try:
-            cand = root - np.linalg.solve(system.jacobian(root), r)
+            cand = root - np.linalg.solve(J, r)
         except np.linalg.LinAlgError:
             break
-        rc = average_psi(system, cand)
+        vals, J_cand = system.evaluate(cand, True)
+        rc = f @ vals / f.sum()
         if not np.linalg.norm(rc) <= np.linalg.norm(r):
             break
-        root, r = cand, rc
+        root, r, J = cand, rc, J_cand
     return root
 
 

@@ -331,6 +331,17 @@ class TestExitCodes:
             capsys, ["fit", "--data", str(tmp_path / "absent.csv"), *COLUMNS])
         assert (code, symbol) == (2, "BadValue")
 
+    @pytest.mark.parametrize("content, message", [
+        (b"a,y,c1\r1,2.5,0.5\r0,-1,\r",
+         "malformed CSV: new-line character seen in unquoted field"),
+        (b"a,y,c1\n1,2.5,0.5\n0,-1,\xff\n", "not UTF-8: byte 0xff at offset 22"),
+    ], ids=["bare CR line breaks", "byte 0xff"])
+    def test_unsplittable_data_is_2(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        assert failing_run(capsys, ["fit", "--data", str(path), *COLUMNS]) == (
+            2, "BadValue", message)
+
     def test_repeated_role_column_is_2(self, capsys, tmp_path):
         path = tmp_path / "twice.csv"
         path.write_text("a,y,c1,c1\n1,2.0,0.5,0.7\n0,1.0,,0.2\n")

@@ -179,6 +179,10 @@ DIALECT = [
     ("treatment 2", f"{HEADER}\n2,2.5,0.5,1\n",
      (BadValue, "treatment values must be 0 or 1")),
     ("extra text column", f"id,{HEADER}\nx,1,2.5,0.5,1\ny,0,-1,,0\n", BOTH_ROWS),
+    ("bare CR line breaks", f"{HEADER}\r1,2.5,0.5,1\r0,-1,,0\r",
+     (BadValue, "malformed CSV: new-line character seen in unquoted field")),
+    ("byte 0xff in a cell", f"{HEADER}\n1,2.5,0.5,1\n0,-1,".encode() + b"\xff,0\n",
+     (BadValue, "not UTF-8: byte 0xff at offset 27")),
 ]
 
 

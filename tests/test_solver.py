@@ -33,15 +33,31 @@ per_row = _load_per_row_oracle()
 
 
 
+def numeric_system(psi, dim):
+    """The system of the per-row values psi(theta), whose Jacobian is
+    numeric_jacobian at its default step."""
+    def evaluate(th, jacobian=False):
+        return psi(th), numeric_jacobian(system, th) if jacobian else None
+
+    system = EquationSystem(evaluate, dim)
+    return system
+
+
+def closed_form_system(psi, jac, dim):
+    """The system of the per-row values psi(theta) and the Jacobian jac(theta)."""
+    return EquationSystem(
+        lambda th, jacobian=False: (psi(th), jac(th) if jacobian else None), dim)
+
+
 def mean_system(y):
     """The equation y - theta on the rows of y."""
     y = np.asarray(y, dtype=float)
-    return EquationSystem(psi=lambda th: (y - th[0])[:, None], dim=1)
+    return numeric_system(lambda th: (y - th[0])[:, None], 1)
 
 
 def logit_score_system(X, t):
-    return EquationSystem(
-        psi=lambda th: per_row.score_matrix(th, X, t, logistic=True), dim=X.shape[1])
+    return numeric_system(
+        lambda th: per_row.score_matrix(th, X, t, logistic=True), X.shape[1])
 
 
 class TestAveragePsi:
@@ -57,15 +73,15 @@ class TestAveragePsi:
         y = np.array([0.3, -1.2, 2.5, 0.9])
         psi1 = lambda th: (y - th[0])[:, None]
         psi2 = lambda th: (y * th[0])[:, None]
-        both = EquationSystem(psi=lambda th: psi1(th) + psi2(th), dim=1)
+        both = numeric_system(lambda th: psi1(th) + psi2(th), 1)
         th = np.array([0.7])
         lhs = average_psi(both, th)
-        rhs = (average_psi(EquationSystem(psi1, 1), th)
-               + average_psi(EquationSystem(psi2, 1), th))
+        rhs = (average_psi(numeric_system(psi1, 1), th)
+               + average_psi(numeric_system(psi2, 1), th))
         assert abs(lhs[0] - rhs[0]) < 1e-12
 
     def test_shape_mismatch_rejected(self):
-        bad = EquationSystem(psi=lambda th: np.zeros((2, 3)), dim=2)
+        bad = numeric_system(lambda th: np.zeros((2, 3)), 2)
         with pytest.raises(NonFiniteEvaluation):
             average_psi(bad, np.zeros(2))
 
@@ -74,12 +90,12 @@ class TestNumericJacobian:
     def test_affine_exact(self):
         A = np.array([[2.0, -1.0], [0.5, 3.0]])
         b = np.array([1.0, -2.0])
-        sys = EquationSystem(psi=lambda th: (A @ th - b)[None, :], dim=2)
+        sys = numeric_system(lambda th: (A @ th - b)[None, :], 2)
         J = numeric_jacobian(sys, np.array([0.3, -0.8]))
         assert np.allclose(J, A, atol=1e-8)
 
     def test_square_derivative(self):
-        sys = EquationSystem(psi=lambda th: np.array([[th[0] ** 2 - 4.0]]), dim=1)
+        sys = numeric_system(lambda th: np.array([[th[0] ** 2 - 4.0]]), 1)
         J = numeric_jacobian(sys, np.array([3.0]))
         assert J[0, 0] == pytest.approx(6.0, abs=1e-6)
 
@@ -103,7 +119,7 @@ class TestNumericJacobian:
 
 class TestSolveRoot:
     def test_shift_equation_one_step(self):
-        sys = EquationSystem(psi=lambda th: np.array([[th[0] - 2.5]]), dim=1)
+        sys = numeric_system(lambda th: np.array([[th[0] - 2.5]]), 1)
         stats = {}
         root = solve_root(sys, np.array([0.0]), stats=stats)
         # the numeric Jacobian carries ~1e-10 rounding noise, so one step
@@ -113,7 +129,7 @@ class TestSolveRoot:
         assert stats["residual_sup"] < 1e-8
 
     def test_newton_on_square(self):
-        sys = EquationSystem(psi=lambda th: np.array([[th[0] ** 2 - 4.0]]), dim=1)
+        sys = numeric_system(lambda th: np.array([[th[0] ** 2 - 4.0]]), 1)
         root = solve_root(sys, np.array([1.0]))
         assert root[0] == pytest.approx(2.0, abs=1e-8)
 
@@ -128,17 +144,17 @@ class TestSolveRoot:
         assert np.allclose(root, fit.coefficients, atol=1e-8)
 
     def test_no_root(self):
-        sys = EquationSystem(psi=lambda th: np.array([[th[0] ** 2 + 1.0]]), dim=1)
+        sys = numeric_system(lambda th: np.array([[th[0] ** 2 + 1.0]]), 1)
         with pytest.raises(NoConvergence):
             solve_root(sys, np.array([0.5]))
 
     def test_singular_jacobian(self):
-        sys = EquationSystem(psi=lambda th: np.array([[1.0]]), dim=1)
+        sys = numeric_system(lambda th: np.array([[1.0]]), 1)
         with pytest.raises(SingularJacobian):
             solve_root(sys, np.array([0.0]))
 
     def test_non_finite_at_start(self):
-        sys = EquationSystem(psi=lambda th: np.array([[np.nan]]), dim=1)
+        sys = numeric_system(lambda th: np.array([[np.nan]]), 1)
         with pytest.raises(NonFiniteEvaluation):
             solve_root(sys, np.array([0.0]))
 
@@ -157,30 +173,30 @@ class TestSolveRoot:
 class TestClosedFormJacobian:
     def test_solve_root_uses_it(self):
         # with the exact derivative the affine equation is solved exactly in
-        # one step, and the finite differences are never taken
-        calls = {"psi": 0}
+        # one step, and the Jacobian is asked for once, at the start
+        calls = []
 
-        def psi(th):
-            calls["psi"] += 1
-            return np.array([[th[0] - 2.5]])
+        def evaluate(th, jacobian=False):
+            calls.append(jacobian)
+            return np.array([[th[0] - 2.5]]), np.array([[1.0]]) if jacobian else None
 
-        sys = EquationSystem(psi=psi, dim=1, jacobian=lambda th: np.array([[1.0]]))
         stats = {}
-        root = solve_root(sys, np.array([0.0]), stats=stats)
+        root = solve_root(EquationSystem(evaluate, 1), np.array([0.0]), stats=stats)
         assert root[0] == 2.5
         assert stats["iterations"] == 1
-        assert calls["psi"] == 2  # the start and the accepted step
+        # the values at the start, its Jacobian, the values at the accepted step
+        assert calls == [False, True, False]
 
     def test_sandwich_uses_it(self):
         y = np.array([0.7, -0.3, 1.9, 2.4, -1.5, 0.2])
-        sys = EquationSystem(psi=lambda th: (y - th[0])[:, None], dim=1,
-                             jacobian=lambda th: np.array([[-1.0]]))
+        sys = closed_form_system(lambda th: (y - th[0])[:, None],
+                                 lambda th: np.array([[-1.0]]), 1)
         cov = sandwich_covariance(sys, np.array([y.mean()]))
         assert cov[0, 0] == pytest.approx(np.var(y) / y.size, rel=1e-14)
 
     def test_non_finite_jacobian(self):
-        sys = EquationSystem(psi=lambda th: np.array([[th[0] - 1.0]]), dim=1,
-                             jacobian=lambda th: np.array([[np.nan]]))
+        sys = closed_form_system(lambda th: np.array([[th[0] - 1.0]]),
+                                 lambda th: np.array([[np.nan]]), 1)
         with pytest.raises(NonFiniteEvaluation):
             solve_root(sys, np.array([0.0]))
         with pytest.raises(NonFiniteEvaluation):
@@ -207,7 +223,7 @@ class TestSandwichCovariance:
         e = y - X @ beta
         xtx_inv = np.linalg.inv(X.T @ X)
         hc0 = xtx_inv @ ((X * (e ** 2)[:, None]).T @ X) @ xtx_inv
-        sys = EquationSystem(psi=lambda th: (y - X @ th)[:, None] * X, dim=3)
+        sys = numeric_system(lambda th: (y - X @ th)[:, None] * X, 3)
         cov = sandwich_covariance(sys, beta)
         assert np.allclose(cov, hc0, atol=1e-8)
 
@@ -239,6 +255,6 @@ class TestSandwichCovariance:
             assert cov[j, j] == pytest.approx(inv_info[j, j], rel=0.05)
 
     def test_singular_bread(self):
-        sys = EquationSystem(psi=lambda th: np.ones((2, 1)), dim=1)
+        sys = numeric_system(lambda th: np.ones((2, 1)), 1)
         with pytest.raises(SingularJacobian):
             sandwich_covariance(sys, np.array([0.0]))

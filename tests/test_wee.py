@@ -27,6 +27,7 @@ from mnarcause import (
     NoConvergence,
     Schema,
     WeeStack,
+    cc_parameter_fit,
     default_G,
     fit_model,
     fit_wee,
@@ -35,6 +36,7 @@ from mnarcause import (
     numeric_jacobian,
     resample,
     sandwich_covariance,
+    tau_cc,
     tau_wee_dr,
     tau_wee_ipw,
     tau_wee_or,
@@ -127,7 +129,7 @@ class TestBuildG:
 
 
 class TestPsiMissing:
-    """Stage-one moment values: the first row of moment_system().psi on
+    """Stage-one moment values: the first row of moment_system()'s values on
     one-row datasets with G = (1, a, y), missing model on (c1, y)."""
 
     def first_row(self, c1, alpha_coef):
@@ -136,7 +138,7 @@ class TestPsiMissing:
                     c=np.array([[c1]]), schema=schema)
         dz = Design(d, ModelSpec.default_for(schema), GSpec(("1", "a", "y")))
         stack = WeeStack(dz, estimate_alpha=True)
-        return stack.moment_system().psi(np.asarray(alpha_coef, dtype=float))[0]
+        return stack.moment_system().evaluate(np.asarray(alpha_coef, dtype=float))[0][0]
 
     def test_missing_row_is_minus_g(self):
         psi = self.first_row(np.nan, np.zeros(3))
@@ -156,7 +158,7 @@ class TestPsiMissing:
         spec = ModelSpec.default_for(SCHEMA2)
         gspec = default_G(spec, SCHEMA2)
         alpha_coef = np.array([0.4, -0.8, 0.3, 0.6])
-        mat = WeeStack(Design(d, spec, gspec), True).moment_system().psi(alpha_coef)
+        mat = WeeStack(Design(d, spec, gspec), True).moment_system().evaluate(alpha_coef)[0]
         rows = np.vstack([
             per_row.stage_one_row(d, i, alpha_coef, spec.missing_covariates,
                                   gspec.components)
@@ -177,7 +179,7 @@ class TestPsiWeightedScores:
                                   spec.propensity_covariates)
         beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
                                  spec.outcome_covariates, phi=1.3)
-        psi = stack.psi(stack.pack(alpha, gamma, beta))
+        psi = stack.evaluate(stack.pack(alpha, gamma, beta))[0]
         missing = d.r == 0
         assert missing.any()
         assert not psi[missing, stack.blocks["gamma"]].any()
@@ -195,7 +197,7 @@ class TestPsiWeightedScores:
         beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
                                  spec.outcome_covariates, phi=1.3)
         theta = stack.pack(alpha, gamma, beta)
-        batched = stack.psi(theta)
+        batched = stack.evaluate(theta)[0]
         models = (alpha.coefficients, alpha.covariates)
         for i in range(d.n):
             np.testing.assert_allclose(
@@ -353,7 +355,7 @@ class TestGMatrix:
 def jacobian_oracle_check(system, theta):
     """The closed-form Jacobian equals the central-difference one to 1e-6
     relative, entries near zero judged against the largest entry."""
-    closed = system.jacobian(theta)
+    closed = system.evaluate(theta, True)[1]
     numeric = numeric_jacobian(system, theta)
     scale = np.abs(numeric).max()
     np.testing.assert_allclose(closed, numeric, rtol=1e-6, atol=1e-6 * scale)
@@ -365,6 +367,29 @@ def binary_two_confounder_dataset(n=400, seed=0):
          < expit(-0.3 + 0.9 * d.a + 0.4 * d.confounder("c2"))).astype(float)
     schema = Schema("a", "y", ("c1", "c2"), "c1", outcome_family="binary")
     return Dataset(a=d.a, y=y, c=d.c, schema=schema)
+
+
+def stack_away_from_root(family, mode, effect=None):
+    """The system of a WeeStack on 300 rows with two confounders, and a
+    point away from its root. mode: alpha "estimated", "known", or M forced
+    to 1 ("unit")."""
+    if family == "gaussian":
+        d, _ = two_confounder_dataset(n=300, seed=43)
+    else:
+        d = binary_two_confounder_dataset(n=300, seed=44)
+    spec = ModelSpec.default_for(d.schema)
+    gspec = default_G(spec, d.schema)
+    alpha = LinearModelParams(np.array([0.6, -0.5, 0.3, 0.4]),
+                              spec.missing_covariates)
+    gamma = LinearModelParams(np.array([0.2, 0.3, -0.2]),
+                              spec.propensity_covariates)
+    phi = 1.3 if family == "gaussian" else None
+    beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
+                             spec.outcome_covariates, phi=phi)
+    known = alpha.coefficients if mode == "known" else None
+    stack = WeeStack(Design(d, spec, gspec), mode == "estimated",
+                     known_alpha_coef=known, effect=effect)
+    return stack.system(), stack.pack(alpha, gamma, beta, tau=0.5)
 
 
 class TestClosedFormJacobians:
@@ -384,24 +409,7 @@ class TestClosedFormJacobians:
     @pytest.mark.parametrize("family", ["gaussian", "binary"])
     @pytest.mark.parametrize("mode", ["estimated", "known", "unit"])
     def test_stack(self, family, mode):
-        if family == "gaussian":
-            d, _ = two_confounder_dataset(n=300, seed=43)
-        else:
-            d = binary_two_confounder_dataset(n=300, seed=44)
-        spec = ModelSpec.default_for(d.schema)
-        gspec = default_G(spec, d.schema)
-        alpha = LinearModelParams(np.array([0.6, -0.5, 0.3, 0.4]),
-                                  spec.missing_covariates)
-        gamma = LinearModelParams(np.array([0.2, 0.3, -0.2]),
-                                  spec.propensity_covariates)
-        phi = 1.3 if family == "gaussian" else None
-        beta = LinearModelParams(np.array([0.5, 1.0, 0.7, -0.4]),
-                                 spec.outcome_covariates, phi=phi)
-        known = alpha.coefficients if mode == "known" else None
-        stack = WeeStack(Design(d, spec, gspec), mode == "estimated",
-                         known_alpha_coef=known)
-        theta = stack.pack(alpha, gamma, beta)
-        jacobian_oracle_check(stack.system(), theta)
+        jacobian_oracle_check(*stack_away_from_root(family, mode))
 
     def test_alpha_block_is_stage_one(self):
         d, _ = two_confounder_dataset(n=200, seed=45)
@@ -413,10 +421,46 @@ class TestClosedFormJacobians:
                                 [0.3, 1.1, 0.6, -0.5, 1.2]])
         a = stack.blocks["alpha"]
         np.testing.assert_array_equal(
-            stack.jacobian(theta)[a, a],
-            stack.moment_system().jacobian(alpha))
+            stack.evaluate(theta, True)[1][a, a],
+            stack.moment_system().evaluate(alpha, True)[1])
         np.testing.assert_array_equal(
-            stack.psi(theta)[:, a], stack.moment_system().psi(alpha))
+            stack.evaluate(theta)[0][:, a], stack.moment_system().evaluate(alpha)[0])
+
+
+def assert_values_ignore_the_jacobian(system, theta):
+    """One evaluation gives the same values, bit for bit, whether or not it
+    is asked for the Jacobian."""
+    with_jacobian, J = system.evaluate(theta, True)
+    alone, none = system.evaluate(theta, False)
+    assert J.shape == (system.dim, system.dim) and none is None
+    assert with_jacobian.shape == alone.shape
+    assert with_jacobian.tobytes() == alone.tobytes()
+
+
+class TestOneEvaluation:
+    """The solver takes the residual from evaluations without the Jacobian
+    and the sandwich takes it from one with, so the values of every
+    production system must not depend on which was asked for."""
+
+    @pytest.mark.parametrize("effect", [None, "or", "ipw", "dr"])
+    @pytest.mark.parametrize("family", ["gaussian", "binary"])
+    @pytest.mark.parametrize("mode", ["estimated", "known", "unit"])
+    def test_stack(self, family, mode, effect):
+        assert_values_ignore_the_jacobian(*stack_away_from_root(family, mode, effect))
+
+    def test_stage_one(self):
+        for d in (two_confounder_dataset(n=300, seed=40)[0],
+                  generate_table1("binary", 500, seed=42)[0]):
+            spec = ModelSpec.default_for(d.schema)
+            gspec = default_G(spec, d.schema)
+            system = WeeStack(Design(d, spec, gspec), True).moment_system()
+            assert_values_ignore_the_jacobian(system, np.linspace(0.4, -0.3, gspec.dim))
+
+    def test_profiled_stage_one(self):
+        d = two_confounder_dataset(n=300, seed=40)[0]
+        spec = ModelSpec.default_for(d.schema)
+        system, _ = wee._profiled_system(Design(d, spec, default_G(spec, d.schema)))
+        assert_values_ignore_the_jacobian(system, np.array([-0.4, 0.2, 0.3]))
 
 
 class TestStageOneWarnings:
@@ -547,7 +591,7 @@ class TestProfiledStageOne:
         d = STAGE_ONE_DATA[name]
         fitted = fit_wee(d, covariance=False)
         system = WeeStack(fitted.design, True).moment_system()
-        residual = np.abs(system.psi(fitted.alpha.coefficients).mean(axis=0))
+        residual = np.abs(system.evaluate(fitted.alpha.coefficients)[0].mean(axis=0))
         assert residual.max() < 1e-14 * np.abs(fitted.design.G).max()
         assert fitted.diagnostics.residual_sup["alpha"] == pytest.approx(
             residual.max(), abs=1e-15)
@@ -561,7 +605,7 @@ class TestProfiledStageOne:
         # the first equation of the full system holds at the profiled intercept
         full_system = WeeStack(Design(d, spec, default_G(spec, d.schema)),
                                True).moment_system()
-        assert abs(full_system.psi(full(alpha_rest)).mean(axis=0)[0]) < 1e-15
+        assert abs(full_system.evaluate(full(alpha_rest))[0].mean(axis=0)[0]) < 1e-15
 
     def test_the_constant_may_stand_anywhere_in_g(self):
         d = STAGE_ONE_DATA["table1-continuous"]
@@ -598,39 +642,109 @@ class TestProfiledStageOne:
         assert len(calls) == 1
 
 
-def wee_taus(d):
-    """(tau, se) of the three WEE estimators with estimated alpha."""
-    fitted = fit_wee(d)
-    return np.array([[est.tau, est.se] for est in
-                     (fn(fitted) for fn in (tau_wee_or, tau_wee_ipw, tau_wee_dr))])
+# the estimators of each kind: the WEE ones with alpha estimated ("wee")
+# or known ("wee-known"), and the complete-case ones ("cc")
+KINDS = ("wee", "wee-known", "cc")
+
+
+def effect_taus(kind, data, known_alpha=None):
+    """(tau, se) of the three estimators of kind on data, a Dataset or a
+    Design; known_alpha is read by "wee-known" alone."""
+    if kind == "cc":
+        ests = [tau_cc(data, method) for method in ("or", "ipw", "aipw")]
+    else:
+        fitted = fit_wee(data, known_alpha=known_alpha if kind == "wee-known" else None)
+        ests = [fn(fitted) for fn in (tau_wee_or, tau_wee_ipw, tau_wee_dr)]
+    return np.array([[est.tau, est.se] for est in ests])
+
+
+def ipw_outcome_shift(kind, d, known_alpha):
+    """E_hat[w a / H] - E_hat[w (1 - a) / (1 - H)] for the IPW estimator of
+    kind on d: Horvitz-Thompson IPW moves by c times this when c is added
+    to every outcome, while w and H stay as they are."""
+    if kind == "cc":
+        gamma = cc_parameter_fit(d)[0]
+        dz = Design(d.complete_cases(), ModelSpec.default_for(d.schema))
+        w = np.ones(dz.n)
+    else:
+        fitted = fit_wee(d, known_alpha=known_alpha if kind == "wee-known" else None,
+                         covariance=False)
+        dz, w, gamma = fitted.design, fitted.weights, fitted.gamma
+    H = expit(dz.Xg @ gamma.coefficients)
+    return np.mean(w * dz.a / H - w * (1.0 - dz.a) / (1.0 - H))
+
+
+def known_alpha_of(d):
+    """A known alpha for d: the stage-one root on d itself."""
+    return fit_wee(d, covariance=False).alpha
+
+
+# the ids of the estimated-alpha cases are the dataset names alone
+METAMORPHIC_CASES = [
+    pytest.param((kind, name), id=name if kind == "wee" else f"{kind}-{name}")
+    for kind in KINDS for name in sorted(STAGE_ONE_DATA)]
+GAUSSIAN_CASES = [case for case in METAMORPHIC_CASES
+                  if STAGE_ONE_DATA[case.values[0][1]].schema.outcome_family
+                  == "gaussian"]
 
 
 class TestMetamorphicEstimatedAlpha:
-    """Relations that hold whatever the data, now to rounding level because
-    the stage-one root no longer depends on the path that found it."""
+    """Relations that hold whatever the data, to rounding level, for the
+    WEE estimators with alpha estimated (the stage-one root no longer
+    depends on the path that found it) and with alpha known, and for the
+    complete-case estimators. A known alpha is held fixed across the
+    transformed data: no relation here moves the weights r/M."""
 
-    @pytest.fixture(scope="class", params=sorted(STAGE_ONE_DATA))
+    @pytest.fixture(scope="class", params=METAMORPHIC_CASES)
     def case(self, request):
-        d = STAGE_ONE_DATA[request.param]
-        return d, wee_taus(d)
+        kind, name = request.param
+        d = STAGE_ONE_DATA[name]
+        known = known_alpha_of(d) if kind == "wee-known" else None
+
+        def taus(data):
+            return effect_taus(kind, data, known)
+
+        return d, taus, taus(d)
 
     def test_row_order_does_not_matter(self, case):
-        d, taus = case
+        d, taus, base = case
         permuted = d.subset(np.random.default_rng(0).permutation(d.n))
-        np.testing.assert_allclose(wee_taus(permuted), taus, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(taus(permuted), base, rtol=1e-12, atol=0)
 
     def test_counting_every_row_twice_divides_the_se_by_root_two(self, case):
-        d, taus = case
+        d, taus, base = case
         spec = ModelSpec.default_for(d.schema)
         twice = Design(d, spec, default_G(spec, d.schema)).resampled(
             np.repeat(np.arange(d.n), 2))
-        doubled = wee_taus(twice)
-        np.testing.assert_allclose(doubled[:, 0], taus[:, 0], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(doubled[:, 1] * np.sqrt(2.0), taus[:, 1],
+        doubled = taus(twice)
+        np.testing.assert_allclose(doubled[:, 0], base[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(doubled[:, 1] * np.sqrt(2.0), base[:, 1],
                                    rtol=1e-12, atol=0)
 
     def test_relabelling_the_treatment_negates_tau(self, case):
-        d, taus = case
-        relabelled = wee_taus(Dataset(1.0 - d.a, d.y, d.c, d.schema))
-        np.testing.assert_allclose(relabelled[:, 0], -taus[:, 0], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(relabelled[:, 1], taus[:, 1], rtol=1e-10, atol=0)
+        d, taus, base = case
+        relabelled = taus(Dataset(1.0 - d.a, d.y, d.c, d.schema))
+        np.testing.assert_allclose(relabelled[:, 0], -base[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(relabelled[:, 1], base[:, 1], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind_name", GAUSSIAN_CASES)
+    def test_shifting_the_outcome_moves_only_ipw(self, kind_name):
+        # y -> y + c: the outcome intercept takes up c, so OR and DR keep
+        # tau; HT-IPW moves by c (E_hat[w a/H] - E_hat[w (1-a)/(1-H)]). A
+        # known alpha moves its intercept by -c alpha_y to keep M, as an
+        # estimated one does by itself
+        kind, name = kind_name
+        d = STAGE_ONE_DATA[name]
+        c = 3.0
+        known = known_alpha_of(d) if kind == "wee-known" else None
+        shifted_known = None
+        if known is not None:
+            coef = known.coefficients.copy()
+            coef[0] -= c * coef[-1]  # y is the missing model's last covariate
+            shifted_known = LinearModelParams(coef, known.covariates)
+        base = effect_taus(kind, d, known)
+        shifted = effect_taus(kind, Dataset(d.a, d.y + c, d.c, d.schema), shifted_known)
+        np.testing.assert_allclose(shifted[[0, 2], 0], base[[0, 2], 0], rtol=1e-12,
+                                   atol=0)
+        moved = base[1, 0] + c * ipw_outcome_shift(kind, d, known)
+        assert shifted[1, 0] == pytest.approx(moved, rel=1e-12, abs=0)
