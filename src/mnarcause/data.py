@@ -130,8 +130,8 @@ def load_csv(source, schema: Schema) -> Dataset:
       numbers ("nan", "inf") anywhere raise BadValue, which names the
       first bad cell by column and data row;
     - the treatment is 0 or 1;
-    - bytes that are not UTF-8, and a bare CR line break outside quotes,
-      raise BadValue.
+    - bytes that are not UTF-8 (given as bytes or read from a binary
+      file), and a bare CR line break outside quotes, raise BadValue.
 
     The rows are read by numpy's C reader. Any input it does not take as it
     stands goes through the per-cell loop (_parse_rows), which decides as

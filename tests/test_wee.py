@@ -642,23 +642,19 @@ class TestProfiledStageOne:
         assert len(calls) == 1
 
 
-# the estimators of each kind: the WEE ones with alpha estimated ("wee")
-# or known ("wee-known"), and the complete-case ones ("cc")
-KINDS = ("wee", "wee-known", "cc")
-
-
 def effect_taus(kind, data, known_alpha=None):
     """(tau, se) of the three estimators of kind on data, a Dataset or a
-    Design; known_alpha is read by "wee-known" alone."""
+    Design: the WEE ones ("wee", with known_alpha when given) or the
+    complete-case ones ("cc")."""
     if kind == "cc":
         ests = [tau_cc(data, method) for method in ("or", "ipw", "aipw")]
     else:
-        fitted = fit_wee(data, known_alpha=known_alpha if kind == "wee-known" else None)
+        fitted = fit_wee(data, known_alpha=known_alpha)
         ests = [fn(fitted) for fn in (tau_wee_or, tau_wee_ipw, tau_wee_dr)]
     return np.array([[est.tau, est.se] for est in ests])
 
 
-def ipw_outcome_shift(kind, d, known_alpha):
+def ipw_outcome_shift(kind, d, known_alpha=None):
     """E_hat[w a / H] - E_hat[w (1 - a) / (1 - H)] for the IPW estimator of
     kind on d: Horvitz-Thompson IPW moves by c times this when c is added
     to every outcome, while w and H stay as they are."""
@@ -667,8 +663,7 @@ def ipw_outcome_shift(kind, d, known_alpha):
         dz = Design(d.complete_cases(), ModelSpec.default_for(d.schema))
         w = np.ones(dz.n)
     else:
-        fitted = fit_wee(d, known_alpha=known_alpha if kind == "wee-known" else None,
-                         covariance=False)
+        fitted = fit_wee(d, known_alpha=known_alpha, covariance=False)
         dz, w, gamma = fitted.design, fitted.weights, fitted.gamma
     H = expit(dz.Xg @ gamma.coefficients)
     return np.mean(w * dz.a / H - w * (1.0 - dz.a) / (1.0 - H))
@@ -679,10 +674,12 @@ def known_alpha_of(d):
     return fit_wee(d, covariance=False).alpha
 
 
-# the ids of the estimated-alpha cases are the dataset names alone
+# the WEE estimators with alpha estimated ("wee") or known ("wee-known"),
+# and the complete-case ones ("cc"); the ids of the estimated-alpha cases
+# are the dataset names alone
 METAMORPHIC_CASES = [
     pytest.param((kind, name), id=name if kind == "wee" else f"{kind}-{name}")
-    for kind in KINDS for name in sorted(STAGE_ONE_DATA)]
+    for kind in ("wee", "wee-known", "cc") for name in sorted(STAGE_ONE_DATA)]
 GAUSSIAN_CASES = [case for case in METAMORPHIC_CASES
                   if STAGE_ONE_DATA[case.values[0][1]].schema.outcome_family
                   == "gaussian"]
@@ -692,8 +689,9 @@ class TestMetamorphicEstimatedAlpha:
     """Relations that hold whatever the data, to rounding level, for the
     WEE estimators with alpha estimated (the stage-one root no longer
     depends on the path that found it) and with alpha known, and for the
-    complete-case estimators. A known alpha is held fixed across the
-    transformed data: no relation here moves the weights r/M."""
+    complete-case estimators. A known alpha is held fixed under row order,
+    counts and relabelling, none of which moves the weights r/M; the
+    outcome shift moves its intercept so that they stay."""
 
     @pytest.fixture(scope="class", params=METAMORPHIC_CASES)
     def case(self, request):
@@ -702,7 +700,7 @@ class TestMetamorphicEstimatedAlpha:
         known = known_alpha_of(d) if kind == "wee-known" else None
 
         def taus(data):
-            return effect_taus(kind, data, known)
+            return effect_taus(kind.removesuffix("-known"), data, known)
 
         return d, taus, taus(d)
 
@@ -742,6 +740,7 @@ class TestMetamorphicEstimatedAlpha:
             coef = known.coefficients.copy()
             coef[0] -= c * coef[-1]  # y is the missing model's last covariate
             shifted_known = LinearModelParams(coef, known.covariates)
+        kind = kind.removesuffix("-known")
         base = effect_taus(kind, d, known)
         shifted = effect_taus(kind, Dataset(d.a, d.y + c, d.c, d.schema), shifted_known)
         np.testing.assert_allclose(shifted[[0, 2], 0], base[[0, 2], 0], rtol=1e-12,
