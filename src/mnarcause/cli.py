@@ -241,7 +241,7 @@ def cmd_fit(args) -> int:
     # one Design of the data, which every WEE and CC estimate reads, on the
     # data and, as counts, on each bootstrap resample
     dz = Design(d, model_spec, gspec)
-    rows, estimates = _point_estimates(d, dz, methods, mi_opts, args.seed)
+    rows, estimates = _point_estimates(d, dz, methods, mi_opts)
     boots = {}
     if args.bootstrap:
         for members, data, estimator in _boot_groups(d, dz, methods, mi_opts):
@@ -256,12 +256,12 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _point_estimates(d, dz, methods, mi_opts, seed) -> tuple:
+def _point_estimates(d, dz, methods, mi_opts) -> tuple:
     """The model rows of the full-data fit and each method's estimate with
     its standard error. The fit and the imputations are freed on return,
     before any bootstrap resample is drawn; the Design dz of the data is
     kept for the resamples."""
-    fitted = fit_wee(dz, restart_seed=seed)
+    fitted = fit_wee(dz)
     shared = {"wee": fitted}
     estimates = {}
     for m in methods:

@@ -131,13 +131,17 @@ def load_csv(source, schema: Schema) -> Dataset:
       first bad cell by column and data row;
     - the treatment is 0 or 1;
     - bytes that are not UTF-8 (given as bytes or read from a binary
-      file), and a bare CR line break outside quotes, raise BadValue.
+      file), bytes that a text-mode file's encoding cannot decode, and a
+      bare CR line break outside quotes, raise BadValue.
 
     The rows are read by numpy's C reader. Any input it does not take as it
     stands goes through the per-cell loop (_parse_rows), which decides as
     the C reader would where both decide and names the first bad cell.
     """
-    raw = source if isinstance(source, (str, bytes)) else source.read()
+    try:
+        raw = source if isinstance(source, (str, bytes)) else source.read()
+    except UnicodeDecodeError as err:  # a file in text mode, decoded by its reader
+        raise BadValue(f"not {err.encoding}: byte 0x{err.object[err.start]:02x}") from None
     try:
         text = raw.decode("utf-8-sig") if isinstance(raw, bytes) else raw.removeprefix("\ufeff")
     except UnicodeDecodeError as err:

@@ -285,7 +285,7 @@ def _table1_truth() -> dict:
 def _rep_table1(d: Dataset, method: str, est_seeds, mi_opts: MiOptions):
     """(estimates, ses) for the five reported coefficients, or raises."""
     if method == "wee":
-        fitted = fit_wee(d, restart_seed=est_seeds[0])
+        fitted = fit_wee(d)
         est = np.concatenate([fitted.gamma.coefficients, fitted.beta.coefficients])
         se = np.concatenate([fitted.block_se("gamma"),
                              fitted.block_se("beta")[:fitted.beta.dim]])

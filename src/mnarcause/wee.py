@@ -26,23 +26,24 @@ linear predictor, 1/M - 1 = exp(-lp) and 1/M = 1 + exp(-lp) exactly. This
 avoids dividing by expit(lp), which underflows long before the weight
 itself overflows.
 
-Stage one, when G holds the constant (the default G always does), is
-solved with the intercept profiled out: the constant's equation gives
-alpha_0 in closed form, and damped Newton solves the remaining
-exponential-tilting equations in alpha~, the other coefficients
-(_profiled_system). Newton starts from the naive logit fit of r on the
-always-present covariates, without its intercept; a solve that stops
-cutting the residual stops early (_stall_guard). Once the residual is
-below the solver's tolerance, up to two full Newton steps, each kept
-only while the residual does not rise, polish the root to rounding
-level (_polish), so the fitted alpha, and every estimate and standard
-error after it, no longer depend on the path Newton took. A G without
-the constant is solved in full alpha, from the naive start, unpolished.
+Stage one is one damped Newton solve (solver.solve_root) from the naive
+logit fit of r on the always-present covariates, with no random start.
+When G holds the constant (the default G always does), the intercept is
+profiled out: the constant's equation gives alpha_0 in closed form, and
+Newton solves the remaining exponential-tilting equations in alpha~, the
+other coefficients (_profiled_system), from the naive start without its
+intercept. A G without the constant is solved in full alpha. A solve
+that stops cutting the residual stops early, and a failed solve raises
+its own error. Once the residual is below the solver's tolerance, up to
+two full Newton steps, each kept only while the residual does not rise,
+polish the root to rounding level (_polish), so the fitted alpha, and
+every estimate and standard error after it, no longer depend on the
+path Newton took.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,9 +54,7 @@ from .errors import (
     DimensionMismatch,
     ExtremeWeight,
     MissingnessDegenerate,
-    NoConvergence,
     RankDeficient,
-    SingularJacobian,
 )
 from .glm import (
     BERNOULLI,
@@ -71,10 +70,7 @@ from .glm import (
 from .solver import EquationSystem, average_psi, solve_root
 
 DEFAULT_WEIGHT_CAP = 1e4  # on r/M, and on the propensity weights 1/H and 1/(1-H)
-RESTARTS = 5              # jittered stage-one restarts after a failed solve
-POLISH_STEPS = 2          # full Newton steps after a profiled stage-one solve
-STALL_WINDOW = 30         # profiled Newton iterations that must cut the residual
-STALL_FACTOR = 10.0       # norm by this factor, or the solve stops (NoConvergence)
+POLISH_STEPS = 2          # full Newton steps after a stage-one solve
 
 
 @dataclass(frozen=True)
@@ -313,6 +309,10 @@ def effect_summands(which: str, dz: Design, w: np.ndarray, gamma_coef, beta_coef
 
 @dataclass(frozen=True)
 class FitDiagnostics:
+    """What a fit reports of itself. stage1_restarts is always 0: stage one
+    makes a single solve. The benchmark's tracer (perfbench/tracing.py)
+    still reads the field, so it stays until that read goes."""
+
     stage1_iterations: int
     stage1_restarts: int
     residual_sup: dict
@@ -558,34 +558,6 @@ def _profiled_system(dz: Design):
 
     return EquationSystem(evaluate, g_rest.shape[1], np.append(f, n_mis)), full
 
-def _stall_guard(system: EquationSystem) -> EquationSystem:
-    """The system, whose evaluation with the Jacobian raises NoConvergence
-    when the residual norm, taken from the values of that same pass at the
-    points Newton asks a Jacobian for, has not fallen STALL_FACTOR-fold
-    over the last STALL_WINDOW of them: the test of
-    MINPACK's hybrd for a solve making no good progress (More, Garbow &
-    Hillstrom 1980). Where the profiled system has no root, its iterates
-    drift towards infinity along a valley of slowly falling residual.
-    Over 347 profiled solves that converged on Table-1 and Table-2 data at
-    n = 2,000 and on bootstrap resamples, all took at most 13 iterations
-    but one, which crept for 56 towards alpha = (194, -191, -57, 114); the
-    test stops that one."""
-    norms = []
-
-    def evaluate(theta, jacobian=False):
-        vals, J = system.evaluate(theta, jacobian)
-        if jacobian:
-            r = system.counts @ vals / system.counts.sum()  # as average_psi
-            norms.append(np.linalg.norm(r))
-            if (len(norms) > STALL_WINDOW
-                    and norms[-1] * STALL_FACTOR > norms[-1 - STALL_WINDOW]):
-                raise NoConvergence(
-                    f"Newton stalled: residual sup-norm {np.abs(r).max():.3e} fell "
-                    f"less than {STALL_FACTOR:g}-fold in {STALL_WINDOW} iterations")
-        return vals, J
-
-    return replace(system, evaluate=evaluate)
-
 
 def _polish(system: EquationSystem, root: np.ndarray) -> np.ndarray:
     """Up to POLISH_STEPS full Newton steps from a root that solve_root
@@ -609,49 +581,28 @@ def _polish(system: EquationSystem, root: np.ndarray) -> np.ndarray:
     return root
 
 
-def _solve_alpha(stack: WeeStack, restart_seed) -> tuple[np.ndarray, int, int]:
-    """The stage-one root, its Newton iterations and the restarts used.
+def _solve_alpha(stack: WeeStack) -> tuple[np.ndarray, int]:
+    """The stage-one root and its Newton iterations, from one solve.
 
     When G holds the constant, Newton solves the profiled system of
     _profiled_system in alpha~, from the naive logit start without its
-    intercept, and the root is then polished (_polish); the polish steps
-    are not counted as iterations. Otherwise Newton solves the full
-    moment system from the naive start, as it is. A failed solve is
-    restarted from the naive start plus normal draws of standard deviation
-    0.5, up to RESTARTS times, the jittered start projected as the naive
-    one is."""
+    intercept; otherwise it solves the full moment system from the naive
+    start. Either root is then polished (_polish); the polish steps are
+    not counted as iterations. A failed solve raises its own error."""
     dz = stack.design
     init = _naive_alpha_init(dz)
-    stats: dict = {}
     if "1" in dz.gspec.components:
         system, full = _profiled_system(dz)
-
-        def solve(start):
-            root = solve_root(_stall_guard(system), start[1:], stats=stats)
-            return full(_polish(system, root))
+        init = init[1:]
     else:
-        system = stack.moment_system()
-
-        def solve(start):
-            return solve_root(system, start, stats=stats)
-    try:
-        root = solve(init)
-        return root, stats.get("iterations", 0), 0
-    except (NoConvergence, SingularJacobian) as err:
-        last = err
-    rng = np.random.default_rng(restart_seed)
-    for attempt in range(1, RESTARTS + 1):
-        jitter = init + 0.5 * rng.standard_normal(init.shape)
-        try:
-            root = solve(jitter)
-            return root, stats.get("iterations", 0), attempt
-        except (NoConvergence, SingularJacobian) as err:
-            last = err
-    raise last
+        system, full = stack.moment_system(), lambda alpha: alpha
+    stats: dict = {}
+    root = full(_polish(system, solve_root(system, init, stats=stats)))
+    return root, stats["iterations"]
 
 
 def fit_wee(d: Dataset | Design, model_spec: ModelSpec = None, gspec: GSpec = None,
-            known_alpha: LinearModelParams = None, restart_seed: int = 0,
+            known_alpha: LinearModelParams = None,
             covariance: bool = True) -> FittedModels:
     """Two-stage fit returning all three models and the stacked sandwich.
 
@@ -659,7 +610,9 @@ def fit_wee(d: Dataset | Design, model_spec: ModelSpec = None, gspec: GSpec = No
     resample), which carries its own model spec and G; model_spec and gspec
     are read only with a Dataset. known_alpha supplies the
     missing-probability coefficients instead of solving the stage-one
-    moment equation (its block then carries no uncertainty).
+    moment equation (its block then carries no uncertainty). Otherwise
+    stage one is solved once, from the naive start (_solve_alpha); where
+    that solve fails, its NoConvergence or SingularJacobian is raised.
     """
     if isinstance(d, Design):
         dz = d
@@ -681,7 +634,7 @@ def fit_wee(d: Dataset | Design, model_spec: ModelSpec = None, gspec: GSpec = No
             raise BadConfig("stage one needs the moment components G")
         dz.gspec.validate(schema, model_spec)
         stack = WeeStack(dz, estimate_alpha=True)
-        alpha_coef, iters, used_restarts = _solve_alpha(stack, restart_seed)
+        alpha_coef, iters = _solve_alpha(stack)
         alpha = LinearModelParams(alpha_coef, model_spec.missing_covariates)
     else:
         alpha = known_alpha
@@ -689,7 +642,7 @@ def fit_wee(d: Dataset | Design, model_spec: ModelSpec = None, gspec: GSpec = No
             raise DimensionMismatch("known alpha covariates disagree with the model spec")
         alpha_coef = alpha.coefficients
         stack = WeeStack(dz, estimate_alpha=False, known_alpha_coef=alpha_coef)
-        iters, used_restarts = 0, 0
+        iters = 0
 
     # the caps judge each row's own weight r/M, never its count times it
     lp, em = dz.tilt(alpha_coef)
@@ -719,7 +672,7 @@ def fit_wee(d: Dataset | Design, model_spec: ModelSpec = None, gspec: GSpec = No
 
     diags = FitDiagnostics(
         stage1_iterations=iters,
-        stage1_restarts=used_restarts,
+        stage1_restarts=0,
         residual_sup=residual_sup,
         min_fitted_m=float(m_fit.min()),
         max_fitted_m=float(m_fit.max()),

@@ -1,7 +1,7 @@
 """Stage-one failing sets, roots and wall time, for comparing two versions
 of the stage-one solver.
 
-Prints, with estimated alpha (default G, restart seed 0, no covariance):
+Prints, with estimated alpha (default G, no covariance):
 - the bootstrap resamples (seed 0, SeedSequence((0, b))) on which stage
   one fails, with each error symbol, for generate_table1("continuous",
   2000, 12) with 100 resamples and for the 400-row fixture of

@@ -28,6 +28,7 @@ from mnarcause import (
     default_G,
     emit_csv,
     generate_table1,
+    generate_table2,
     load_csv,
     run_monte_carlo,
     tau_cc,
@@ -52,7 +53,7 @@ COLUMNS = ["--treatment", "a", "--outcome", "y", "--confounders", "c1",
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
     """A 400-row Table-1 CSV. Stage one fails on resamples 11 and 14 of
-    bootstrap seed 0 (NoConvergence after its restarts)."""
+    bootstrap seed 0 (NoConvergence)."""
     path = tmp_path_factory.mktemp("data") / "data.csv"
     path.write_text(emit_csv(generate_table1("continuous", 400, 7)[0]))
     return path
@@ -518,18 +519,27 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_fit_without_bootstrap_loads_no_random_module(data, tmp_path):
+@pytest.mark.parametrize("case", ["table1", "failing-ocpc"])
+def test_fit_without_bootstrap_loads_no_random_module(data, tmp_path, case):
     """numpy.random, and OpenSSL's _hashlib which it pulls in through
-    secrets, cost a cold fit about 6 MB of memory; only the bootstrap, MI
-    and the stage-one restarts draw random numbers."""
+    secrets, cost a cold fit about 6 MB of memory; only the bootstrap and
+    MI draw random numbers. Stage one draws none, also where it fails, as
+    on generate_table2("ocpc", 2000, 1), where the fit exits 3."""
+    columns, code = COLUMNS, 0
+    estimators = "wee-or,wee-ipw,wee-dr,cc-or,cc-ipw,cc-aipw"
+    if case == "failing-ocpc":
+        data = tmp_path / "ocpc.csv"
+        data.write_text(emit_csv(generate_table2("ocpc", 2000, 1)[0]))
+        columns = ["--treatment", "a", "--outcome", "y", "--confounders", "c1,c2",
+                   "--missing", "c1"]
+        estimators, code = "wee-or,wee-ipw,wee-dr", 3
     src = os.path.dirname(os.path.dirname(mnarcause.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    argv = ["fit", "--data", str(data), *COLUMNS, "--estimators",
-            "wee-or,wee-ipw,wee-dr,cc-or,cc-ipw,cc-aipw",
+    argv = ["fit", "--data", str(data), *columns, "--estimators", estimators,
             "--out", str(tmp_path / "report.csv")]
     probe = ("import sys; from mnarcause.cli import main; "
              f"code = main({argv!r}); "
              "print(code, [m for m in ('numpy.random', '_hashlib') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 []"
+    assert out.splitlines()[-1] == f"{code} []"

@@ -206,6 +206,14 @@ def test_byte_order_mark_in_text_is_dropped():
                           equal_nan=True)
 
 
+def test_undecodable_byte_in_a_text_mode_file(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(f"{HEADER}\n1,2.5,0.5,1\n0,-1,".encode() + b"\xff,0\n")
+    with open(path, encoding="utf-8") as fh, pytest.raises(BadValue) as caught:
+        load_csv(fh, SCHEMA)
+    assert str(caught.value) == "not utf-8: byte 0xff"
+
+
 def outcome(text, per_cell=False):
     """What load_csv makes of text: the bytes of its rows, or the type and
     message of what it raises; with per_cell, by the per-cell loop alone."""

@@ -15,7 +15,7 @@
 - cli_runs.json: the exit code, standard output and standard error of
   `example1-check` at the default phi and at `--phi 1e-3`, and of `fit`
   with estimated alpha on generate_table2("ocpc", 2000, 1), which exits 3
-  with one SingularJacobian line. Numbers in the text are compared as
+  with one NoConvergence line: its stage-one solve stalls. Numbers in the text are compared as
   floats.
 
 Strings and integers must match exactly, and floats to 1e-12 relative. A

@@ -19,6 +19,7 @@ from mnarcause import (
     solve_root,
 )
 from mnarcause.glm import BERNOULLI, expit
+from mnarcause.solver import MAX_ITER
 
 
 def _load_per_row_oracle():
@@ -147,6 +148,20 @@ class TestSolveRoot:
         sys = numeric_system(lambda th: np.array([[th[0] ** 2 + 1.0]]), 1)
         with pytest.raises(NoConvergence):
             solve_root(sys, np.array([0.5]))
+
+    def test_a_root_at_infinity_stalls(self):
+        # psi = 1/log(theta) has its root at infinity; each full Newton step
+        # multiplies theta by 1 + log(theta), so the residual falls slower
+        # than geometrically and the stall test stops the solve early
+        def evaluate(th, jacobian=False):
+            log = np.log(th[0])
+            jac = np.array([[-1.0 / (th[0] * log * log)]]) if jacobian else None
+            return np.array([[1.0 / log]]), jac
+
+        stats = {}
+        with pytest.raises(NoConvergence, match="fell less than 10-fold in 30 iterations"):
+            solve_root(EquationSystem(evaluate, 1), np.array([3.0]), stats=stats)
+        assert stats["iterations"] < MAX_ITER
 
     def test_singular_jacobian(self):
         sys = numeric_system(lambda th: np.array([[1.0]]), 1)

@@ -627,8 +627,8 @@ class TestProfiledStageOne:
 
     def test_a_solve_without_progress_stops(self, monkeypatch):
         # on this dataset the profiled iterates drift off along a valley; the
-        # solve stops on the stall test, not after MAX_ITER iterations
-        monkeypatch.setattr(wee, "RESTARTS", 0)
+        # solve stops on the stall test, not after MAX_ITER iterations, and
+        # is not tried again
         calls = []
         original = wee.solve_root
 
@@ -747,3 +747,24 @@ class TestMetamorphicEstimatedAlpha:
                                    atol=0)
         moved = base[1, 0] + c * ipw_outcome_shift(kind, d, known)
         assert shifted[1, 0] == pytest.approx(moved, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("s", [2.0, -0.5, 3.7])
+    @pytest.mark.parametrize("kind_name", GAUSSIAN_CASES)
+    def test_scaling_the_outcome_scales_tau_and_se(self, kind_name, s):
+        # y -> s y: every tau scales by s and its SE by |s|. A known alpha
+        # divides its y coefficient by s to keep M, as an estimated one
+        # does by itself
+        kind, name = kind_name
+        d = STAGE_ONE_DATA[name]
+        known = known_alpha_of(d) if kind == "wee-known" else None
+        scaled_known = None
+        if known is not None:
+            coef = known.coefficients.copy()
+            coef[-1] /= s  # y is the missing model's last covariate
+            scaled_known = LinearModelParams(coef, known.covariates)
+        kind = kind.removesuffix("-known")
+        base = effect_taus(kind, d, known)
+        scaled = effect_taus(kind, Dataset(d.a, s * d.y, d.c, d.schema), scaled_known)
+        np.testing.assert_allclose(scaled[:, 0], s * base[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(scaled[:, 1], abs(s) * base[:, 1], rtol=1e-12,
+                                   atol=0)
